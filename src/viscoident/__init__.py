@@ -2,9 +2,10 @@
 
 The package approximates discrete creep/relaxation kernel data with a
 bespoke quadratic segment scheme, estimates the hereditary intensity by a
-weighted-residual closed form and the power-law exponent by a per-pair
-root solve, and ships a forward constitutive simulator that doubles as the
-synthetic-data oracle for round-trip validation.
+weighted-residual closed form and the power-law exponent by a Lambert-W
+closed form per (strain level, knot) pair, and ships a forward constitutive
+simulator that doubles as the synthetic-data oracle for round-trip
+validation.
 """
 
 __version__ = "0.1.0"
@@ -16,7 +17,6 @@ from .kernels import (
     SeriesSum,
     creep_kernel,
     creep_kernel_integral,
-    gamma,
     relaxation_kernel,
 )
 from .material import (
@@ -36,24 +36,21 @@ from .material import (
 from .residual import (
     IdentificationResult,
     WeightConfig,
-    auto_q_bracket,
     eta,
     identify,
     lambda_closed_form,
     lambda_gamma_form,
     omega,
     residual_delta,
-    scan_initial_guess,
     segment_eval_times,
     select_moment_order,
     solve_q,
-    solve_q_detailed,
     stage1_weights,
 )
 from .spline import (
     IsochroneDataset,
     KernelSamples,
-    SplineSegment,
+    Spline,
     compare_table1,
     eval_kernel_spline,
     fit_kernel_spline,

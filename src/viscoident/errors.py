@@ -37,7 +37,7 @@ class DomainError(ViscoidentError):
 
 
 class ConvergenceError(ViscoidentError):
-    """Series truncation did not converge. Carries the last term magnitude."""
+    """A series or iteration did not converge. Carries the last term magnitude."""
 
     def __init__(self, message: str, last_term: float):
         self.last_term = last_term
@@ -87,8 +87,8 @@ class InfeasibleEtaError(ViscoidentError):
 
 
 class NoRootBracketError(ViscoidentError):
-    """The bracket condition eps**q_bar < eta*q_bar does not hold."""
+    """No exponent root of eps**q = eta*q exists in (0, q_bar]."""
 
 
 class NoRootError(ViscoidentError):
-    """The residual function does not change sign on the search interval."""
+    """No (strain level, knot) pair has an exponent root."""

@@ -87,17 +87,6 @@ class SeriesSum:
         return self.value
 
 
-def gamma(z: float) -> float:
-    """Gamma function for positive real arguments.
-
-    Delegates to the C library implementation, which is accurate to well
-    beyond 12 significant digits on (0, 50].
-    """
-    if z <= 0.0:
-        raise DomainError(f"gamma requires z > 0, got {z}")
-    return math.gamma(z)
-
-
 def _alternating_sum(alpha: float, rate: float, s: float, exponent_shift: float,
                      ctl: SeriesControl) -> SeriesSum:
     """Sum (-rate)**n * s**(c_n + shift) / Gamma(c_n + 1 + shift) over n.

@@ -18,7 +18,13 @@ reciprocal-residual-weighted closed form
     eta_j = (sigma/H) * (1 + lambda_hat * [B_j*t_j - C_j*t_j**2 + D_j*t_j**3])
 
 for the exponent on every (strain level, knot) pair and reduces the roots
-by their median.
+by their median. The root is q = -W0(z)/ln(eps_i) with z = -ln(eps_i)/eta_j
+and W0 the principal branch of the Lambert W function, or 1/eta_j at
+eps_i = 1. For eps_i > 1 the residual is convex: W0 gives its smaller root,
+z < -1/e means there is none, and a pair whose residual certificate
+|f(q_min)| <= Q_RESIDUAL_RTOL * max(1, eta_j*q_min) holds at the minimum
+q_min = ln(eta_j/ln eps_i)/ln eps_i is a tangency (double root) returning
+q_min. Roots and failures come out in row-major pair order.
 
 Evaluation times: each sample term j is evaluated at the midpoint of
 [t_j, t_{j+1}] by default (the terminal sample at its own knot), or exactly
@@ -29,14 +35,11 @@ When the segments are fitted to the samples themselves the scale estimate
 is a multiplicative correction to lambda0; when they come from an
 independent unit-normalized kernel model the estimate IS the intensity.
 ``identify`` distinguishes the two with ``model_segments``.
-
-Estimation over (strain, knot) pairs is embarrassingly parallel, but results
-must be reduced in sorted pair order; this implementation is sequential and
-therefore trivially deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -56,11 +59,14 @@ from .material import PowerLaw
 from .spline import (
     IsochroneDataset,
     KernelSamples,
-    SplineSegment,
+    Spline,
     integrate_segment_from_zero,
 )
 
 Q_RESIDUAL_RTOL = 1e-10
+# Halley steps for W0 stop at this multiple of the relative rounding unit
+W0_STEP_TOL = 4.0 * np.finfo(float).eps
+W0_MAX_ITER = 20
 DEFAULT_M_RANGE = tuple(range(2, 9))
 
 
@@ -110,28 +116,22 @@ def segment_eval_times(samples: KernelSamples, at_knots: bool = False) -> np.nda
     return mids
 
 
-def _model_values(segments: list[SplineSegment], t_eval: np.ndarray) -> np.ndarray:
-    """Segment j's polynomial at its own evaluation time, term by term."""
-    t_eval = np.broadcast_to(np.asarray(t_eval, dtype=float), (len(segments),))
-    return np.array([seg.value(ti) for seg, ti in zip(segments, t_eval)])
-
-
-def _residuals(samples: KernelSamples, segments: list[SplineSegment],
+def _residuals(samples: KernelSamples, segments: Spline,
                cfg: WeightConfig, t_eval) -> tuple[np.ndarray, np.ndarray]:
     if len(segments) != len(samples):
         raise DomainError("need one segment per sample")
-    model = _model_values(segments, t_eval)
+    model = segments.value(t_eval)
     return samples.values - cfg.lambda0 * model, model
 
 
-def _terminal_residual(samples: KernelSamples, segments: list[SplineSegment],
+def _terminal_residual(samples: KernelSamples, segments: Spline,
                        cfg: WeightConfig) -> float:
     """Normalizing residual at the terminal time t_star."""
     t_star = cfg.t_star if cfg.t_star is not None else samples.t_star
     return float(samples.values[-1] - cfg.lambda0 * segments[-1].value(t_star))
 
 
-def stage1_weights(samples: KernelSamples, segments: list[SplineSegment],
+def stage1_weights(samples: KernelSamples, segments: Spline,
                    cfg: WeightConfig, t_eval) -> np.ndarray:
     """Moment weights w_j = 1/(1 + |r_j / r_terminal|**m), each in (0, 1].
 
@@ -147,7 +147,7 @@ def stage1_weights(samples: KernelSamples, segments: list[SplineSegment],
     return 1.0 / (1.0 + np.abs(resid / denom) ** cfg.m)
 
 
-def residual_delta(samples: KernelSamples, segments: list[SplineSegment],
+def residual_delta(samples: KernelSamples, segments: Spline,
                    cfg: WeightConfig, t_eval) -> float:
     """Weighted sum of squares sum_j (w_j * r_j)**2 at the configured m.
 
@@ -161,7 +161,7 @@ def residual_delta(samples: KernelSamples, segments: list[SplineSegment],
     return float(np.sum((w * resid) ** 2))
 
 
-def select_moment_order(samples: KernelSamples, segments: list[SplineSegment],
+def select_moment_order(samples: KernelSamples, segments: Spline,
                         cfg: WeightConfig, t_eval,
                         m_range=DEFAULT_M_RANGE) -> int:
     """The m in range minimizing delta; ties break toward the smallest m."""
@@ -176,17 +176,17 @@ def select_moment_order(samples: KernelSamples, segments: list[SplineSegment],
     return best_m
 
 
-def omega(samples: KernelSamples, segments: list[SplineSegment],
+def omega(samples: KernelSamples, segments: Spline,
           weights: np.ndarray, lam: float, t_eval) -> float:
     """The residual functional sum_j {w_j*[K(t_j) - lam*K_j(t_eval_j)]}**2."""
-    model = _model_values(segments, t_eval)
+    model = segments.value(t_eval)
     return float(np.sum((weights * (samples.values - lam * model)) ** 2))
 
 
-def lambda_closed_form(samples: KernelSamples, segments: list[SplineSegment],
+def lambda_closed_form(samples: KernelSamples, segments: Spline,
                        weights: np.ndarray, t_eval) -> float:
     """Minimizer of the quadratic lam -> omega(lam) for fixed weights."""
-    model = _model_values(segments, t_eval)
+    model = segments.value(t_eval)
     w2 = np.asarray(weights, dtype=float) ** 2
     denom = float(np.sum(w2 * model ** 2))
     if denom == 0.0:
@@ -196,7 +196,7 @@ def lambda_closed_form(samples: KernelSamples, segments: list[SplineSegment],
     return float(np.sum(w2 * samples.values * model)) / denom
 
 
-def lambda_gamma_form(samples: KernelSamples, segments: list[SplineSegment],
+def lambda_gamma_form(samples: KernelSamples, segments: Spline,
                       cfg: WeightConfig, t_eval) -> float:
     """Closed-form scale with reciprocal-residual weights.
 
@@ -222,34 +222,76 @@ def lambda_gamma_form(samples: KernelSamples, segments: list[SplineSegment],
     return float(np.sum(samples.values * model * inv)) / denom
 
 
-def eta(segment: SplineSegment, sigma: float, pl: PowerLaw,
-        lambda_hat: float) -> float:
-    """eta_j = (sigma/H) * (1 + lambda_hat * integral_0^{t_j} K_j)."""
+def eta(spline: Spline, sigma: float, pl: PowerLaw, lambda_hat: float):
+    """eta_j = (sigma/H) * (1 + lambda_hat * integral_0^{t_j} K_j), per knot."""
     if sigma <= 0.0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
-    value = sigma / pl.H * (1.0 + lambda_hat * integrate_segment_from_zero(segment))
-    if value <= 0.0:
+    value = sigma / pl.H * (1.0 + lambda_hat * integrate_segment_from_zero(spline))
+    bad = np.flatnonzero(value <= 0.0)
+    if bad.size:
+        j = bad[0]
         raise InfeasibleEtaError(
-            f"eta = {value} at knot t = {segment.t}; the exponent root "
-            "problem requires eta > 0"
+            f"eta = {np.ravel(value)[j]} at knot t = {np.ravel(spline.t)[j]}; "
+            "the exponent root problem requires eta > 0"
         )
     return value
 
 
-def _f_and_fprime(eps: float, eta_j: float, q: float) -> tuple[float, float]:
-    p = eps ** q
-    return p - eta_j * q, p * math.log(eps) - eta_j
+def _lambert_w0(z: np.ndarray) -> np.ndarray:
+    """Principal branch W0 of the Lambert W function on z > -1/e.
+
+    Halley's iteration on w*exp(w) = z (Corless et al., "On the Lambert W
+    function", 1996), started from the branch-point series below z = 0.5
+    and from the log asymptote above. It stops once every step is at
+    rounding level, scaled by the condition number 1/(1 + W) that grows
+    toward the branch point.
+    """
+    p = np.sqrt(np.maximum(2.0 * (math.e * np.minimum(z, 0.5) + 1.0), 0.0))
+    w = p * (1.0 - p / 3.0 + 11.0 / 72.0 * p * p) - 1.0
+    del p  # the iteration keeps as few full-size arrays alive as it can
+    large = z >= 0.5
+    lz = np.log(np.maximum(z[large], math.e))
+    w[large] = lz - np.log(lz) + np.log(lz) / lz
+    for _ in range(W0_MAX_ITER):
+        step = (w - z * np.exp(-w)) / (w + 1.0)  # Newton step
+        step /= 1.0 - 0.5 * (w + 2.0) / (w + 1.0) * step
+        w -= step
+        cond = 1.0 + 1.0 / np.abs(w + 1.0)
+        if np.all(np.abs(step) <= W0_STEP_TOL * cond * np.abs(w)):
+            return w
+    raise ConvergenceError(
+        "Lambert W iteration for the exponent roots did not converge",
+        last_term=float(np.nanmax(np.abs(step))),
+    )
 
 
-def solve_q_detailed(eps: float, eta_j: float, q_bar: float,
-                     max_iter: int = 200) -> tuple[float, float, float]:
-    """Root of eps**q = eta*q in (0, q_bar], with its final bracket.
+def _exponent_roots(eps: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Smaller positive root of eps_i**q = eta_j*q in row i, column j; NaN if none."""
+    shape = (len(eps), len(etas))
+    log_eps = np.broadcast_to(np.log(eps)[:, None], shape)
+    etas = np.broadcast_to(etas, shape)
+    z = -log_eps / etas
+    q = np.full(shape, np.nan)
+    np.divide(1.0, etas, out=q, where=log_eps == 0.0)
+    # The certificate holds only where ln(eta/ln eps) lies within 2e-10 of
+    # 1, that is within 2e-10 (relative) of the branch point z = -1/e.
+    near = (np.abs(math.e * z + 1.0) <= 1e-6) & (log_eps > 0.0)
+    L, et = log_eps[near], etas[near]
+    q_min = np.log(et / L) / L
+    f_min = np.broadcast_to(eps[:, None], shape)[near] ** q_min - et * q_min
+    tangent = np.abs(f_min) <= Q_RESIDUAL_RTOL * np.maximum(1.0, et * q_min)
+    q[near] = np.where(tangent, q_min, np.nan)
+    near[near] = tangent
+    solve = (z >= -1.0 / math.e) & (log_eps != 0.0) & ~near
+    z = z[solve]  # frees the full grid before the iteration
+    q[solve] = -_lambert_w0(z) / log_eps[solve]
+    return q
 
-    Deterministic bisection with safeguarded Newton refinement; terminates
-    on the residual certificate |f(q)| <= Q_RESIDUAL_RTOL * max(1, eta*q).
-    Returns (root, bracket_lo, bracket_hi); a tangency root (double root at
-    the minimum of a convex residual, where no sign change exists) returns
-    a collapsed bracket.
+
+def solve_q(eps: float, eta_j: float, q_bar: float) -> float:
+    """Root of eps**q - eta*q = 0 in (0, q_bar]: the smaller one when eps > 1.
+
+    A one-pair call of the exponent stage of ``identify``.
     """
     if eps <= 0.0:
         raise DomainError(f"strain level must be > 0, got {eps}")
@@ -257,120 +299,13 @@ def solve_q_detailed(eps: float, eta_j: float, q_bar: float,
         raise InfeasibleEtaError(f"eta must be > 0, got {eta_j}")
     if q_bar <= 0.0:
         raise DomainError(f"q_bar must be > 0, got {q_bar}")
-
-    def f(q):
-        return eps ** q - eta_j * q
-
-    def done(q, fq):
-        return abs(fq) <= Q_RESIDUAL_RTOL * max(1.0, eta_j * q)
-
-    f_bar = f(q_bar)
-    if f_bar >= 0.0:
-        # No sign change at the bracket end. A convex residual (eps > 1)
-        # may still have a tangency (double) root at its minimum.
-        if eps > 1.0:
-            log_eps = math.log(eps)
-            arg = eta_j / log_eps
-            if arg > 0.0:
-                q_min = math.log(arg) / log_eps
-                if q_min > 0.0 and done(q_min, f(q_min)):
-                    return q_min, q_min, q_min
-        raise NoRootBracketError(
-            f"bracket condition eps**q_bar < eta*q_bar fails at q_bar = {q_bar}"
-        )
-
-    # f(q) -> 1 as q -> 0+, so shrink the lower end until it is positive.
-    lo = min(1e-6, 0.5 * q_bar)
-    f_lo = f(lo)
-    while f_lo <= 0.0 and lo > 1e-300:
-        lo *= 0.1
-        f_lo = f(lo)
-    if f_lo <= 0.0:
-        raise NoRootError("residual does not change sign on (0, q_bar]")
-
-    a, fa, b, fb = lo, f_lo, q_bar, f_bar
-    x, fx = 0.5 * (a + b), None
-    for _ in range(max_iter):
-        fx, dfx = _f_and_fprime(eps, eta_j, x)
-        if done(x, fx):
-            return x, a, b
-        if fx > 0.0:
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        # Newton step, accepted only when it stays strictly inside the bracket
-        if dfx != 0.0:
-            x_new = x - fx / dfx
-            if a < x_new < b:
-                x = x_new
-                continue
-        x = 0.5 * (a + b)
-    raise ConvergenceError(
-        "exponent root refinement stalled", last_term=abs(fx)
-    )
+    q = float(_exponent_roots(np.array([eps]), np.array([eta_j]))[0, 0])
+    if not q <= q_bar:
+        raise NoRootBracketError(f"no exponent root in (0, q_bar = {q_bar}]")
+    return q
 
 
-def solve_q(eps: float, eta_j: float, q_bar: float) -> float:
-    """Root of eps**q - eta*q = 0 in (0, q_bar]; see solve_q_detailed."""
-    return solve_q_detailed(eps, eta_j, q_bar)[0]
-
-
-def auto_q_bracket(eps: float, eta_j: float, q0: float,
-                   max_doublings: int = 64) -> float:
-    """A q_bar satisfying the bracket condition for the descending branch.
-
-    For eps <= 1 the residual is strictly decreasing, so the guess is
-    doubled until it goes negative. For eps > 1 the residual is convex and
-    the minimizer is explicit; using it as the bracket end isolates the
-    smaller (descending-branch) root.
-    """
-    def f(q):
-        return eps ** q - eta_j * q
-
-    if eps > 1.0:
-        log_eps = math.log(eps)
-        arg = eta_j / log_eps
-        if arg <= 0.0:
-            raise NoRootBracketError("residual has no interior minimum")
-        q_min = math.log(arg) / log_eps
-        if q_min <= 0.0 or f(q_min) > 0.0:
-            # allow the exact-tangency case through to solve_q
-            if q_min > 0.0 and abs(f(q_min)) <= Q_RESIDUAL_RTOL * max(1.0, eta_j * q_min):
-                return q_min
-            raise NoRootBracketError(
-                "convex residual stays positive; no exponent root exists"
-            )
-        return q_min
-    q_bar = max(q0, 1.0)
-    for _ in range(max_doublings):
-        if f(q_bar) < 0.0:
-            return q_bar
-        q_bar *= 2.0
-    raise NoRootBracketError(
-        f"no sign change found doubling up to q_bar = {q_bar}"
-    )
-
-
-def scan_initial_guess(samples: KernelSamples, segments: list[SplineSegment],
-                       cfg: WeightConfig, t_eval,
-                       lambda0_values, q0_values) -> tuple[float, float, float]:
-    """Coarse grid scan of (lambda0, q0) minimizing delta.
-
-    First minimum wins on ties. The segment family carries no exponent
-    dependence, so q0 only matters through downstream uses; it is scanned
-    for completeness.
-    """
-    best = (None, None, math.inf)
-    for lam0 in lambda0_values:
-        for q0 in q0_values:
-            trial = replace(cfg, lambda0=float(lam0), q0=float(q0))
-            d = residual_delta(samples, segments, trial, t_eval)
-            if d < best[2]:
-                best = (float(lam0), float(q0), d)
-    return best
-
-
-def identify(samples: KernelSamples, segments: list[SplineSegment],
+def identify(samples: KernelSamples, segments: Spline,
              isochrones: IsochroneDataset | None, cfg: WeightConfig,
              sigma: float, pl0: PowerLaw, *,
              strain_levels=None, at_knots: bool = False,
@@ -380,7 +315,7 @@ def identify(samples: KernelSamples, segments: list[SplineSegment],
 
     Strain levels for the exponent stage come from ``isochrones`` when
     given, else from ``strain_levels``; with neither, the exponent stage is
-    skipped and q_hat is NaN.
+    skipped and q_hat is NaN. Every strain level must be finite and > 0.
 
     ``model_segments`` declares that ``segments`` were fitted to an
     independent unit-intensity kernel model rather than to the samples:
@@ -388,6 +323,14 @@ def identify(samples: KernelSamples, segments: list[SplineSegment],
     On self-fitted segments it is a multiplicative correction to lambda0
     (identically 1 at knot evaluation, so lambda_hat = lambda0).
     """
+    if isochrones is not None:
+        strain_levels = isochrones.strain_levels
+    eps_levels = None if strain_levels is None else np.asarray(strain_levels, float)
+    if eps_levels is not None:
+        bad = eps_levels[~(np.isfinite(eps_levels) & (eps_levels > 0.0))]
+        if bad.size:
+            raise DomainError(f"strain levels must be finite and > 0, got {bad[0]}")
+
     t_eval = segment_eval_times(samples, at_knots=at_knots)
     m_sel = select_moment_order(samples, segments, cfg, t_eval, m_range)
     cfg_m = replace(cfg, m=m_sel)
@@ -396,41 +339,32 @@ def identify(samples: KernelSamples, segments: list[SplineSegment],
     ratio = lambda_gamma_form(samples, segments, cfg_m, t_eval)
     lambda_hat = ratio if model_segments else cfg.lambda0 * ratio
 
-    if isochrones is not None:
-        eps_levels = np.asarray(isochrones.strain_levels, dtype=float)
-    elif strain_levels is not None:
-        eps_levels = np.asarray(strain_levels, dtype=float)
-    else:
-        eps_levels = None
-
+    model = segments.value(t_eval)
     diagnostics = {
         "lambda_ratio": ratio,
-        "residuals": samples.values - cfg.lambda0 * _model_values(segments, t_eval),
+        "model_values": model,
+        "residuals": samples.values - cfg.lambda0 * model,
         "eval_times": t_eval,
     }
 
     q_hat = math.nan
     if eps_levels is not None:
-        etas = np.array(
-            [eta(seg, sigma, pl0, lambda_hat) for seg in segments]
-        )
-        roots, failures = [], []
-        for i, eps_i in enumerate(eps_levels):
-            for j, eta_j in enumerate(etas):
-                try:
-                    q_bar = auto_q_bracket(eps_i, eta_j, cfg.q0)
-                    roots.append(solve_q(eps_i, eta_j, q_bar))
-                except (NoRootBracketError, NoRootError, InfeasibleEtaError) as exc:
-                    failures.append((i + 1, j + 1, type(exc).__name__))
-        if roots:
-            q_hat = float(np.median(roots))
-        else:
+        etas = eta(segments, sigma, pl0, lambda_hat)
+        q = _exponent_roots(eps_levels, etas)
+        failed = np.isnan(q)
+        if failed.all():
             raise NoRootError(
                 "every (strain level, knot) pair failed to bracket an "
                 "exponent root"
             )
-        diagnostics["q_roots"] = np.array(roots)
-        diagnostics["q_failures"] = failures
+        roots = q[~failed]
+        q_hat = float(np.median(roots))
+        rows, cols = np.nonzero(failed)
+        diagnostics["q_roots"] = roots
+        diagnostics["q_failures"] = list(zip(
+            (rows + 1).tolist(), (cols + 1).tolist(),
+            itertools.repeat(NoRootBracketError.__name__),
+        ))
         diagnostics["etas"] = etas
 
     return IdentificationResult(

@@ -13,6 +13,11 @@ with B_j = K(t_j), segment 1 flat (C_1 = D_1 = 0), and for j >= 2
 where h_{j-1} = t_j - t_{j-1}. The doubled/tripled coefficients are stored
 as-is so the bundled reference table can be compared digit for digit.
 
+The fitted spline is one ``Spline`` whose fields are arrays with one entry
+per knot. Fitting and evaluation are elementwise ``+ - * /`` over those
+arrays, so they round exactly as a scalar loop over the knots would: knot
+interpolation and the 2C = 2*t*3D identity hold bitwise.
+
 The segment notation carries a nonlinearity exponent in the source scheme,
 but the algebra above does not depend on it; segments here are exponent-free.
 """
@@ -116,20 +121,28 @@ class IsochroneDataset:
 
 
 @dataclass(frozen=True)
-class SplineSegment:
-    """One quadratic segment anchored at knot t_j.
+class Spline:
+    """The quadratic segments, one entry per knot in each array field.
 
-    ``twoC`` and ``threeD`` store the doubled and tripled coefficients of
-    the printed scheme; halve / third them where plain C_j, D_j are needed.
+    Row j is the segment anchored at knot ``t[j]``. ``twoC`` and ``threeD``
+    store the doubled and tripled coefficients of the printed scheme; halve
+    / third them where plain C_j, D_j are needed. Indexing selects rows: an
+    int gives a Spline of scalars, a slice or index array a Spline of arrays.
     """
 
-    t: float
-    B: float
-    twoC: float
-    threeD: float
+    t: np.ndarray
+    B: np.ndarray
+    twoC: np.ndarray
+    threeD: np.ndarray
 
-    def value(self, time: float) -> float:
-        """Segment polynomial at an arbitrary time (no range check)."""
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows) -> Spline:
+        return Spline(self.t[rows], self.B[rows], self.twoC[rows], self.threeD[rows])
+
+    def value(self, time):
+        """Each row's polynomial at its own time (no range check); broadcasts."""
         dt = time - self.t
         return self.B + self.twoC * dt + self.threeD * dt * dt
 
@@ -152,7 +165,7 @@ def similarity_means(data: IsochroneDataset, pl: PowerLaw) -> np.ndarray:
     return (phi_inst @ data.phi_t) / denom
 
 
-def fit_kernel_spline(samples: KernelSamples) -> list[SplineSegment]:
+def fit_kernel_spline(samples: KernelSamples) -> Spline:
     """Fit the quadratic segments to kernel samples.
 
     Segment 1 is the constant B_1; later segments use backward differences.
@@ -161,51 +174,45 @@ def fit_kernel_spline(samples: KernelSamples) -> list[SplineSegment]:
     if len(samples) < 2:
         raise InsufficientDataError("need at least two samples to fit segments")
     t, K = samples.times, samples.values
-    segments = [SplineSegment(float(t[0]), float(K[0]), 0.0, 0.0)]
-    for j in range(1, len(t)):
-        h = t[j] - t[j - 1]
-        bracket = 2.0 * t[j] - h
-        if bracket == 0.0:
-            raise SingularDenominatorError(
-                f"2*t_j equals h_(j-1) at knot {j + 1} (t = {t[j]})",
-                knot_index=j + 1,
-            )
-        threeD = (K[j] - K[j - 1]) / (h * bracket)
-        # twoC derived from threeD so the 2C/3D = 2*t_j identity is bitwise
-        segments.append(
-            SplineSegment(float(t[j]), float(K[j]), 2.0 * t[j] * threeD, threeD)
+    h = np.diff(t)
+    bracket = 2.0 * t[1:] - h
+    singular = np.flatnonzero(bracket == 0.0)
+    if singular.size:
+        j = singular[0] + 1
+        raise SingularDenominatorError(
+            f"2*t_j equals h_(j-1) at knot {j + 1} (t = {t[j]})",
+            knot_index=j + 1,
         )
-    return segments
+    threeD = np.diff(K) / (h * bracket)
+    # twoC derived from threeD so the 2C/3D = 2*t_j identity is bitwise
+    twoC = 2.0 * t[1:] * threeD
+    return Spline(t, K, np.insert(twoC, 0, 0.0), np.insert(threeD, 0, 0.0))
 
 
-def segment_index(segments: list[SplineSegment], t: float) -> int:
-    """Segment covering t: half-open [t_j, t_{j+1}), last knot closed."""
-    knots = np.array([s.t for s in segments])
-    if t < knots[0] or t > knots[-1]:
+def eval_kernel_spline(spline: Spline, t):
+    """Value of the fitted spline at t; exactly B_j at each knot.
+
+    Segment j covers [t_j, t_{j+1}); the last knot belongs to the last one.
+    """
+    knots = spline.t
+    if np.any((t < knots[0]) | (t > knots[-1])):
         raise OutOfRangeError(
             f"t = {t} outside the fitted range [{knots[0]}, {knots[-1]}]"
         )
-    if t == knots[-1]:
-        return len(segments) - 1
-    return int(np.searchsorted(knots, t, side="right")) - 1
+    return spline[np.searchsorted(knots, t, side="right") - 1].value(t)
 
 
-def eval_kernel_spline(segments: list[SplineSegment], t: float) -> float:
-    """Value of the fitted spline at t; exactly B_j at each knot."""
-    return segments[segment_index(segments, t)].value(t)
-
-
-def integrate_segment_from_zero(segment: SplineSegment) -> float:
-    """integral_0^{t_j} of segment j's polynomial: B*t - C*t**2 + D*t**3.
+def integrate_segment_from_zero(spline: Spline):
+    """integral_0^{t_j} of each segment's polynomial: B*t - C*t**2 + D*t**3.
 
     The segment polynomial is extended over [0, t_j] as in the printed
     scheme; C and D are the stored doubled/tripled coefficients halved and
     thirded.
     """
-    t = segment.t
-    C = segment.twoC / 2.0
-    D = segment.threeD / 3.0
-    return segment.B * t - C * t * t + D * t ** 3
+    t = spline.t
+    C = spline.twoC / 2.0
+    D = spline.threeD / 3.0
+    return spline.B * t - C * t * t + D * t ** 3
 
 
 def table1_fixture() -> KernelSamples:
@@ -235,9 +242,8 @@ def compare_table1(samples: KernelSamples | None = None) -> list[dict]:
     """
     if samples is None:
         samples = table1_fixture()
-    segments = fit_kernel_spline(samples)
     report = []
-    for j, seg in enumerate(segments):
+    for j, seg in enumerate(fit_kernel_spline(samples)):
         row = {"j": j + 1, "t": seg.t, "B": seg.B}
         flagged = False
         for name, computed, printed in (

@@ -1,6 +1,7 @@
 """Kernel series against exact values and high-precision oracles."""
 
 import math
+from math import gamma
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from viscoident import (
     SeriesControl,
     creep_kernel,
     creep_kernel_integral,
-    gamma,
     relaxation_kernel,
 )
 from viscoident.errors import ConvergenceError, DomainError
@@ -35,29 +35,6 @@ def mp_creep_kernel(alpha, beta, s, terms=200):
             c = (1 - a) * (1 + n)
             total += (-b) ** n * sv ** (c - 1) / mp.gamma(c)
         return float(total)
-
-
-class TestGamma:
-    def test_exact_values(self):
-        assert gamma(1.0) == 1.0
-        assert gamma(5.0) == 24.0
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-    def test_twelve_digits_on_domain(self):
-        import mpmath as mp
-
-        for z in (0.05, 0.31, 1.7, 9.4, 23.0, 49.9):
-            assert gamma(z) == pytest.approx(float(mp.gamma(z)), rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            gamma(0.0)
-        with pytest.raises(DomainError):
-            gamma(-2.5)
-
-    @given(st.floats(min_value=0.1, max_value=40.0))
-    def test_recurrence(self, x):
-        assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
 
 class TestCreepKernel:

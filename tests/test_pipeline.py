@@ -288,6 +288,14 @@ class TestCli:
                      "--sigma-over-H", "1e-4", "--strain-levels", "1e6"])
         assert code == 4
 
+    @pytest.mark.parametrize("level", ["nan", "inf", "0", "-0.5"])
+    def test_exit_code_bad_strain_level(self, table1_file, capsys, level):
+        code = main(["--mode", "identify", "--input", str(table1_file),
+                     "--lambda0", "0.9", "--eval-at-knots",
+                     "--strain-levels", f"1.5,{level}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error(DomainError):")
+
     def test_error_text_is_structured(self, tmp_path, capsys):
         dup = tmp_path / "dup.csv"
         dup.write_text("t,K\n1,10\n1,9\n")

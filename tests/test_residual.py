@@ -14,7 +14,6 @@ from viscoident import (
     KernelSamples,
     PowerLaw,
     WeightConfig,
-    auto_q_bracket,
     eta,
     fit_kernel_spline,
     identify,
@@ -22,11 +21,9 @@ from viscoident import (
     lambda_gamma_form,
     omega,
     residual_delta,
-    scan_initial_guess,
     segment_eval_times,
     select_moment_order,
     solve_q,
-    solve_q_detailed,
     stage1_weights,
 )
 from viscoident.errors import (
@@ -39,6 +36,7 @@ from viscoident.errors import (
     PoleError,
 )
 from viscoident.kernels import creep_kernel
+from viscoident.residual import Q_RESIDUAL_RTOL, _exponent_roots, _lambert_w0
 
 # bisection oracle, frozen: root of 0.5**q = q
 Q_HALF_ROOT = 0.64118574450498598449
@@ -58,6 +56,40 @@ def scaled_pair(samples, data_scale=2.0):
     """Samples scaled away from a reference spline fitted to the originals."""
     data = KernelSamples(samples.times, samples.values * data_scale)
     return data, fit_kernel_spline(samples)
+
+
+def scalar_exponent_stage(eps_levels, etas):
+    """Pair-by-pair bisection reference for the exponent stage.
+
+    For eps > 1 the bracket ends at the convex minimum q_min; a pair whose
+    residual there is positive beyond the certificate has no root, one
+    within the certificate is a tangency returning q_min.
+    """
+    roots, failures = [], []
+    for i, eps in enumerate(eps_levels, start=1):
+        for j, et in enumerate(etas, start=1):
+            def f(q):
+                return eps ** q - et * q
+            hi = 1.0
+            if eps > 1.0:
+                hi = math.log(et / math.log(eps)) / math.log(eps)
+                if hi > 0.0 and abs(f(hi)) <= Q_RESIDUAL_RTOL * max(1.0, et * hi):
+                    roots.append(hi)
+                    continue
+                if hi <= 0.0 or f(hi) > 0.0:
+                    failures.append((i, j, "NoRootBracketError"))
+                    continue
+            while f(hi) >= 0.0:
+                hi *= 2.0
+            lo = 0.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if f(mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    return np.array(roots), failures
 
 
 class TestEvalTimes:
@@ -117,7 +149,7 @@ class TestResidualDelta:
 
     def test_single_sample(self):
         data = KernelSamples(np.array([2.0]), np.array([5.0]))
-        seg = [v.SplineSegment(2.0, 2.0, 0.0, 0.0)]
+        seg = v.Spline(np.array([2.0]), np.array([2.0]), np.zeros(1), np.zeros(1))
         cfg = WeightConfig(lambda0=1.0, q0=1.0, m=3)
         # residual 3, terminal residual 3, weight 1/2 -> delta = 2.25
         assert residual_delta(data, seg, cfg, np.array([2.0])) == pytest.approx(
@@ -182,8 +214,7 @@ class TestLambdaClosedForm:
 
     def test_degenerate_design(self):
         data = KernelSamples(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        segs = [v.SplineSegment(1.0, 0.0, 0.0, 0.0),
-                v.SplineSegment(2.0, 0.0, 0.0, 0.0)]
+        segs = v.Spline(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(DegenerateDesignError):
             lambda_closed_form(data, segs, np.ones(2), np.array([1.0, 2.0]))
 
@@ -264,11 +295,11 @@ class TestLambdaGammaForm:
 
 class TestEta:
     def test_zero_knot(self):
-        seg = v.SplineSegment(0.0, 3750.0, 0.0, 0.0)
+        seg = v.Spline(0.0, 3750.0, 0.0, 0.0)
         assert eta(seg, 2.0, PowerLaw(4.0, 1.0), 1.0) == 0.5
 
     def test_unit_case(self):
-        seg = v.SplineSegment(5.0, 3500.0, -100.0, -10.0)
+        seg = v.Spline(5.0, 3500.0, -100.0, -10.0)
         assert eta(seg, 3.0, PowerLaw(3.0, 1.0), 0.0) == 1.0
 
     def test_reference_row2_value(self, table1_segments):
@@ -327,48 +358,89 @@ class TestSolveQ:
     )
     def test_sign_change_certificate(self, eps, et):
         # decreasing residual: a genuine crossing always exists
-        q_bar = auto_q_bracket(eps, et, 1.0)
-        root, lo, hi = solve_q_detailed(eps, et, q_bar)
-        assert lo <= root <= hi
+        root = solve_q(eps, et, 1e3)
         assert abs(eps ** root - et * root) <= 1e-10 * max(1.0, et * root)
-        if lo < hi:
-            assert (eps ** lo - et * lo) > 0.0 > (eps ** hi - et * hi)
+        lo, hi = root * (1.0 - 1e-9), root * (1.0 + 1e-9)
+        assert (eps ** lo - et * lo) > 0.0 > (eps ** hi - et * hi)
 
+    def test_decreasing_case_root_past_guess(self):
+        # 0.5**q = 0.01*q crosses far beyond q = 1
+        root = solve_q(0.5, 0.01, 1e3)
+        assert root > 1.0
+        assert 0.5 ** (root * 0.99) > 0.01 * root * 0.99
+        assert abs(0.5 ** root - 0.01 * root) <= 1e-10
 
-class TestAutoBracket:
-    def test_decreasing_case_doubles(self):
-        q_bar = auto_q_bracket(0.5, 0.01, 1.0)
-        assert 0.5 ** q_bar < 0.01 * q_bar
-
-    def test_convex_case_uses_minimizer(self):
-        q_bar = auto_q_bracket(2.0, 3.0, 1.0)
-        assert 2.0 ** q_bar < 3.0 * q_bar
+    def test_convex_case_smaller_root(self):
+        # 2**q = 3*q has roots near 0.458 and 3.313; the smaller is returned
+        # even when q_bar lies past the larger
+        q_min = math.log(3.0 / math.log(2.0)) / math.log(2.0)
+        for q_bar in (q_min, 10.0):
+            root = solve_q(2.0, 3.0, q_bar)
+            assert 0.0 < root < q_min
+            assert abs(2.0 ** root - 3.0 * root) <= 1e-10 * max(1.0, 3.0 * root)
 
     def test_no_root(self):
         with pytest.raises(NoRootBracketError):
-            auto_q_bracket(1e6, 1.0, 1.0)
+            solve_q(1e6, 1.0, 1.0)
 
 
-class TestScan:
-    def test_matches_brute_force(self, table1, table1_segments):
-        cfg = WeightConfig(lambda0=0.9, q0=1.0, m=2)
-        t_eval = segment_eval_times(table1)
-        grid_l = (0.5, 0.9, 1.3)
-        grid_q = (1.0, 2.0)
-        lam0, q0, best = scan_initial_guess(
-            table1, table1_segments, cfg, t_eval, grid_l, grid_q
+class TestExponentRoots:
+    """The closed form against scipy's Lambert W as an oracle."""
+
+    def test_against_scipy_lambertw(self):
+        lambertw = pytest.importorskip("scipy.special").lambertw
+        eps = np.concatenate([np.geomspace(0.05, 1e3, 41), [1.0, math.e]])
+        etas = np.concatenate([np.geomspace(0.05, 20.0, 37), [math.e]])
+        got = _exponent_roots(eps, etas)
+        log_eps = np.log(eps)[:, None]
+        z = -log_eps / etas
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = lambertw(z).real
+            want = np.where(log_eps == 0.0, 1.0 / etas, -w / log_eps)
+        has_root = z >= -1.0 / math.e
+        tangent = (eps[:, None] == math.e) & (etas == math.e)
+        assert np.array_equal(np.isnan(got), ~(has_root | tangent))
+        # relative error within a few ulps times the condition number 1/(1+W)
+        solved = has_root & ~tangent
+        err = np.abs(got - want)[solved] / want[solved]
+        assert np.all(err <= 1e-14 * (1.0 + 1.0 / np.abs(1.0 + w[solved])))
+        assert np.all(got[:-1, -1][eps[:-1] == 1.0] == 1.0 / math.e)
+        assert got[-1, -1] == 1.0
+
+    def test_lambert_w0_near_branch_point_and_large_z(self):
+        lambertw = pytest.importorskip("scipy.special").lambertw
+        z = np.concatenate([-1.0 / math.e + np.geomspace(1e-12, 0.1, 50),
+                            np.geomspace(1e-300, 1e300, 61)])
+        w = _lambert_w0(z)
+        want = lambertw(z).real
+        assert np.all(np.abs(w - want) <= 1e-15 * np.abs(want) / np.abs(1.0 + want)
+                      + 1e-15 * np.abs(want))
+
+    def test_pilot_failure_set_matches_scalar_bisection(self):
+        # scripts/roundtrip_pilot.py at horizon 0.05: the per-knot scheme's
+        # bias leaves 168 pairs without a root
+        from viscoident.pipeline import extract_creep_kernel_samples
+
+        kp = KernelParams(0.5, 0.0, 0.8)
+        pl = PowerLaw(1.0, 1.5)
+        hist = v.simulate_creep(kp, pl, 1.0, np.linspace(0.0, 0.05, 64))
+        samples = extract_creep_kernel_samples(hist, pl)
+        model = KernelSamples(
+            samples.times,
+            np.array([creep_kernel(kp, t).value for t in samples.times]),
         )
-        expected = min(
-            (
-                residual_delta(table1, table1_segments,
-                               replace(cfg, lambda0=l, q0=q), t_eval),
-                l, q,
-            )
-            for l in grid_l
-            for q in grid_q
+        res = identify(
+            samples, fit_kernel_spline(model), None,
+            WeightConfig(lambda0=1.0, q0=1.0), sigma=1.0, pl0=pl,
+            strain_levels=hist.values[1:], at_knots=True, model_segments=True,
         )
-        assert best == expected[0]
-        assert (lam0, q0) == (expected[1], expected[2])
+        roots, failures = scalar_exponent_stage(hist.values[1:],
+                                                res.diagnostics["etas"])
+        assert len(failures) == 168
+        assert res.diagnostics["q_failures"] == failures
+        assert np.allclose(res.diagnostics["q_roots"], roots, rtol=1e-12, atol=0)
+        assert res.q_hat == pytest.approx(float(np.median(roots)), rel=1e-9)
+        assert f"{res.q_hat:.9g}" == "1.69023509"
 
 
 class TestIdentify:
