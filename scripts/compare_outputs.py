@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Check that another checkout writes byte-identical outputs to this one.
+
+Run from anywhere:
+
+    python3 scripts/compare_outputs.py OTHER_CHECKOUT
+
+Imports this checkout's ``src/viscoident``, then OTHER_CHECKOUT's, and with
+each one runs the README recipe (table1, simulate, identify) and operations
+0-2 of the ``creep_roundtrip`` and ``relaxation_longrecord`` benchmark
+workloads for seeds 1-3, taking the operations from this checkout's
+``perfbench/workloads.py``. It hashes (SHA-256) every file a simulate run
+writes and every ``--no-timestamp`` report, text and JSON, prints the
+outputs whose digests differ and exits 1 if any do, 0 if none do.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import itertools
+import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOAD_NAMES = ("creep_roundtrip", "relaxation_longrecord")
+SEEDS = (1, 2, 3)
+OPS_PER_SEED = 3
+README_SIMULATE = [
+    "--mode", "simulate", "--kind", "creep", "--alpha", "0.5", "--beta", "0",
+    "--lam", "0.8", "--H", "1", "--q", "1.5", "--sigma", "1",
+    "--grid", "0:0.005:64", "--no-timestamp",
+]
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def import_checkout(checkout: Path):
+    """Import ``checkout/src/viscoident``, dropping any earlier import."""
+    src = (checkout / "src").resolve()
+    for name in [k for k in sys.modules if k.split(".")[0] == "viscoident"]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        importlib.import_module("viscoident.cli")
+    finally:
+        sys.path.remove(str(src))
+    vi = sys.modules["viscoident"]
+    if Path(vi.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"error: imported viscoident from {vi.__file__}, "
+                         f"not from {src}")
+    return vi
+
+
+class RecordingCli:
+    """Stands in for ``viscoident.cli`` and keeps the argv of every call."""
+
+    def __init__(self, cli):
+        self.cli = cli
+        self.calls = []
+
+    def main(self, argv):
+        self.calls.append(list(argv))
+        return self.cli.main(argv)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_reports(wl, cli, argv, label: str, digests: dict) -> None:
+    """Digest the report of ``argv`` as text and as ``--json``."""
+    for suffix, extra in ((".txt", []), (".json", ["--json"])):
+        report = wl.run_cli(cli, argv + extra)
+        digests[f"{label}/{argv[1]}{suffix}"] = sha256(report.encode())
+
+
+def digest_files(out_dir: Path, label: str, digests: dict) -> None:
+    for path in sorted(out_dir.iterdir()):
+        digests[f"{label}/{path.name}"] = sha256(path.read_bytes())
+
+
+def collect(vi, wl) -> dict:
+    """Digest of every output, keyed by recipe, workload, seed, op and file."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        readme = tmp / "readme"
+        readme.mkdir()
+        prefix = str(readme / "syn")
+        digest_reports(wl, vi.cli, ["--mode", "table1", "--no-timestamp"],
+                       "readme", digests)
+        wl.run_cli(vi.cli, README_SIMULATE + ["--output", prefix])
+        digest_files(readme, "readme", digests)
+        digest_reports(wl, vi.cli, [
+            "--mode", "identify", "--input", prefix + "_kernel_samples.csv",
+            "--model-samples", prefix + "_model_samples.csv",
+            "--isochrones", prefix + "_isochrones.csv",
+            "--lambda0", "1", "--q0", "1", "--sigma-over-H", "1",
+            "--eval-at-knots", "--no-timestamp",
+        ], "readme", digests)
+        for name, seed in itertools.product(WORKLOAD_NAMES, SEEDS):
+            workload = wl.WORKLOADS[name]
+            for op in itertools.islice(workload.ops(seed), OPS_PER_SEED):
+                label = f"{name}/seed{seed}/op{op['index']}"
+                out_dir = tmp / label
+                out_dir.mkdir(parents=True)
+                # the workload runs simulate and identify; its identify
+                # call is replayed to digest the report as text and JSON
+                recorder = RecordingCli(vi.cli)
+                try:
+                    workload.run(SimpleNamespace(cli=recorder), op, out_dir)
+                except wl.OpFailed as exc:
+                    digests[f"{label}/failure"] = sha256(str(exc).encode())
+                digest_files(out_dir, label, digests)
+                for argv in recorder.calls:
+                    if argv[1] == "identify":
+                        digest_reports(wl, vi.cli, argv, label, digests)
+    return digests
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "viscoident").is_dir():
+        print("usage: compare_outputs.py OTHER_CHECKOUT (a directory holding "
+              "src/viscoident)", file=sys.stderr)
+        return 2
+    wl = load_workloads()
+    ours = collect(import_checkout(ROOT), wl)
+    theirs = collect(import_checkout(Path(argv[0])), wl)
+    differ = sorted(k for k in ours.keys() | theirs.keys()
+                    if ours.get(k) != theirs.get(k))
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(ours.keys() | theirs.keys()) - len(differ)} outputs identical, "
+          f"{len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

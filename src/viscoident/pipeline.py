@@ -14,7 +14,9 @@ table1     recompute the bundled reference table's segment coefficients
 validate   run the data invariant suite against an input file.
 
 Reports are deterministic: every number is printed with 9 significant
-digits and the timestamp can be suppressed.
+digits and the timestamp can be suppressed. ``fmt9_rows`` renders numeric
+tables (the CSV files and the report's sample table) a row at a time;
+``fmt9`` renders scalars (result fields, the config echo, table1 rows).
 """
 
 from __future__ import annotations
@@ -52,12 +54,23 @@ from .spline import (
 
 
 def fmt9(x) -> str:
-    """Canonical 9-significant-digit rendering used everywhere."""
+    """Canonical 9-significant-digit rendering of one scalar."""
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.9g}"
+
+
+def fmt9_rows(table) -> list[str]:
+    """Each row of a 2-d numeric table as comma-joined ``fmt9`` fields.
+
+    ``"%.9g" % x`` and ``f"{x:.9g}"`` share one correctly rounded float
+    formatter, so every field is the string ``fmt9`` gives for a float.
+    """
+    arr = np.asarray(table, dtype=float)
+    row_format = ",".join(["%.9g"] * arr.shape[1])
+    return [row_format % tuple(row) for row in arr.tolist()]
 
 
 @dataclass
@@ -149,9 +162,8 @@ def ingest_kernel_samples(path: str | Path) -> KernelSamples:
     if not data_rows:
         raise ParseError(f"{path}: file holds no data rows")
     for rownum, raw in data_rows:
-        parts = [p.strip() for p in raw.split(",")]
-        try:
-            rec = [float(p) for p in parts]
+        try:  # float() ignores the whitespace around each field
+            rec = list(map(float, raw.split(",")))
         except ValueError:
             if rownum == data_rows[0][0]:
                 continue  # header line
@@ -188,22 +200,22 @@ def ingest_isochrones(path: str | Path) -> IsochroneDataset:
     rows = [r for r in path.read_text().splitlines() if r.strip()]
     if len(rows) < 2:
         raise ParseError(f"{path}: need a time header plus strain rows")
-    head = [p.strip() for p in rows[0].split(",")]
-    try:
-        times = [float(p) for p in head[1:]]
+    head = rows[0].split(",")
+    try:  # float() ignores the whitespace around each field
+        times = list(map(float, head[1:]))
     except ValueError:
         raise ParseError("time header holds a non-numeric field", row=1)
     strains, matrix = [], []
     width = len(head)
     for i, raw in enumerate(rows[1:], start=2):
-        parts = [p.strip() for p in raw.split(",")]
+        parts = raw.split(",")
         if len(parts) != width:
             raise ParseError(
                 f"ragged row: {len(parts)} fields where {width} expected",
                 row=i,
             )
         try:
-            rec = [float(p) for p in parts]
+            rec = list(map(float, parts))
         except ValueError:
             raise ParseError(f"non-numeric field in {raw!r}", row=i)
         strains.append(rec[0])
@@ -217,15 +229,13 @@ def ingest_isochrones(path: str | Path) -> IsochroneDataset:
 
 def write_samples_csv(path: str | Path, times, values,
                       header: str = "t,K") -> None:
-    lines = [header]
-    lines += [f"{fmt9(t)},{fmt9(v)}" for t, v in zip(times, values)]
+    lines = [header] + fmt9_rows(np.column_stack((times, values)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_isochrones_csv(path: str | Path, data: IsochroneDataset) -> None:
-    lines = ["eps," + ",".join(fmt9(t) for t in data.times)]
-    for eps_i, row in zip(data.strain_levels, data.phi_t):
-        lines.append(fmt9(eps_i) + "," + ",".join(fmt9(v) for v in row))
+    lines = ["eps," + fmt9_rows([data.times])[0]]
+    lines += fmt9_rows(np.column_stack((data.strain_levels, data.phi_t)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -362,19 +372,15 @@ def _run_identify(cfg: RunConfig) -> Report:
         "model_reference": str(model_ref),
         "q_pairs_failed": str(len(result.diagnostics.get("q_failures", []))),
     }
-    rows = []
-    resid = result.diagnostics["residuals"]
-    model = result.diagnostics["model_values"]
-    for j in range(len(samples)):
-        rows.append({
-            "j": j + 1,
-            "t": fmt9(samples.times[j]),
-            "K": fmt9(samples.values[j]),
-            "model": fmt9(model[j]),
-            "weight": fmt9(result.weights[j]),
-            "residual": fmt9(resid[j]),
-        })
-    report.tables["samples"] = rows
+    columns = ("t", "K", "model", "weight", "residual")
+    table = np.column_stack((
+        samples.times, samples.values, result.diagnostics["model_values"],
+        result.weights, result.diagnostics["residuals"],
+    ))
+    report.tables["samples"] = [
+        {"j": j, **dict(zip(columns, line.split(",")))}
+        for j, line in enumerate(fmt9_rows(table), start=1)
+    ]
     return report
 
 
@@ -393,13 +399,14 @@ def _run_simulate(cfg: RunConfig) -> Report:
         model = np.array(
             [creep_kernel(kp, t).value for t in samples.times]
         )
-        s_fun = np.array([phi0(pl, e) for e in hist.values]) / cfg.sigma
+        # scalar phi0: an array ** can differ from it by an ulp, which would
+        # change the isochrone file's bytes
+        phi_inst = np.array([phi0(pl, e) for e in hist.values])
+        s_fun = phi_inst / cfg.sigma
         iso = IsochroneDataset(
             strain_levels=hist.values[1:],
             times=hist.times[1:],
-            phi_t=np.array(
-                [[phi0(pl, e) / sj for sj in s_fun[1:]] for e in hist.values[1:]]
-            ),
+            phi_t=phi_inst[1:, None] / s_fun[None, 1:],
         )
         iso_path = base.parent / (base.name + "_isochrones.csv")
         write_isochrones_csv(iso_path, iso)

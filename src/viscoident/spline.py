@@ -36,6 +36,7 @@ from .errors import (
     InsufficientDataError,
     OutOfRangeError,
     SingularDenominatorError,
+    ValidationError,
 )
 from .material import PowerLaw, phi0
 
@@ -238,10 +239,16 @@ def compare_table1(samples: KernelSamples | None = None) -> list[dict]:
     A row is flagged formula-inconsistent when a recomputed coefficient is
     both more than ``TABLE1_REL_TOL`` relative away from the printed value
     and outside half a unit of the printed value's last digit (the latter
-    absorbs the table's own display rounding).
+    absorbs the table's own display rounding). Sample j is compared with
+    printed row j, so the samples must have as many rows as the table.
     """
     if samples is None:
         samples = table1_fixture()
+    if len(samples) != len(TABLE1_PRINTED_2C):
+        raise ValidationError(
+            f"the reference table has {len(TABLE1_PRINTED_2C)} rows, "
+            f"the samples have {len(samples)}"
+        )
     report = []
     for j, seg in enumerate(fit_kernel_spline(samples)):
         row = {"j": j + 1, "t": seg.t, "B": seg.B}

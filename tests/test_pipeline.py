@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import viscoident as v
 from viscoident.cli import main
@@ -13,11 +15,33 @@ from viscoident.pipeline import (
     RunConfig,
     derive_samples_from_isochrones,
     extract_creep_kernel_samples,
+    fmt9,
+    fmt9_rows,
     ingest_isochrones,
     ingest_kernel_samples,
     run,
+    write_isochrones_csv,
     write_samples_csv,
 )
+
+# floats whose rendering has its own branch: signed zeros, subnormals, the
+# exponent extremes, non-finite values, integral values past 9 digits
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, float("nan"), float("inf"),
+    float("-inf"), 123456789.0, 1234567891.0, 2.5e16, 1.0, 1e16, 0.1,
+)
+
+
+@st.composite
+def float_tables(draw):
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(
+        st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+                 min_size=ncols, max_size=ncols),
+        max_size=6,
+    ))
+    return np.array(rows, dtype=float).reshape(len(rows), ncols)
 
 
 @pytest.fixture
@@ -85,6 +109,24 @@ class TestIngestSamples:
         with pytest.raises(ParseError):
             ingest_kernel_samples(path)
 
+    @pytest.mark.parametrize("header", ["", "t,K\n", " t , K \n"])
+    @pytest.mark.parametrize("index", [False, True])
+    def test_padded_fields(self, tmp_path, header, index):
+        rows = [("0.001", "2.5"), ("0.002", "1.25"), ("0.004", "1e-3")]
+        if index:
+            rows = [(str(j), *row) for j, row in enumerate(rows, start=1)]
+            header = header.replace("t", "j , t", 1) if header else ""
+        bare = tmp_path / "bare.csv"
+        bare.write_text(header + "".join(",".join(r) + "\n" for r in rows))
+        padded = tmp_path / "padded.csv"
+        padded.write_text(header + "".join(
+            " " + " , ".join(r) + " \n" for r in rows
+        ))
+        want, got = ingest_kernel_samples(bare), ingest_kernel_samples(padded)
+        assert np.array_equal(got.times, [0.001, 0.002, 0.004])
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values, want.values)
+
 
 class TestIngestIsochrones:
     def test_two_by_two(self, tmp_path):
@@ -113,6 +155,26 @@ class TestIngestIsochrones:
         with pytest.raises(ParseError) as err:
             ingest_isochrones(path)
         assert err.value.row == 2
+
+    def test_padded_fields(self, tmp_path):
+        bare = tmp_path / "bare.csv"
+        bare.write_text("eps,0,1\n0.5,2.0,1.8\n1.0,4.0,3.6\n")
+        padded = tmp_path / "padded.csv"
+        padded.write_text(
+            " eps , 0 , 1 \n 0.5 , 2.0 , 1.8 \n1.0 ,4.0, 3.6\n"
+        )
+        want, got = ingest_isochrones(bare), ingest_isochrones(padded)
+        assert np.array_equal(got.strain_levels, want.strain_levels)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.phi_t, want.phi_t)
+
+    def test_padded_ragged_row_numbered(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(" eps , 0 , 1 \n 0.5 , 2.0 , 1.8 \n 1.0 , 4.0 \n")
+        with pytest.raises(ParseError) as err:
+            ingest_isochrones(path)
+        assert err.value.row == 3
+        assert "2 fields where 3 expected" in str(err.value)
 
     def test_zero_entry(self, tmp_path):
         path = tmp_path / "zero.csv"
@@ -166,6 +228,41 @@ class TestReport:
         assert fmt9(55000.0 / 3.0) == "18333.3333"
         assert fmt9(7) == "7"
         assert fmt9(True) == "True"
+
+    @given(float_tables())
+    def test_table_rows_match_scalar_rendering(self, table):
+        assert fmt9_rows(table) == [
+            ",".join(fmt9(x) for x in row) for row in table
+        ]
+
+    def test_table_rows_special_values(self):
+        table = np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]])
+        assert fmt9_rows(table) == [
+            ",".join(fmt9(x) for x in row) for row in table
+        ]
+        assert fmt9_rows([[-0.0, 2.5e16, 123456789.0]]) == ["-0,2.5e+16,123456789"]
+
+    def test_csv_writers_match_scalar_rendering(self, tmp_path):
+        rng = np.random.default_rng(20261018)
+        n = 40
+        times = np.cumsum(rng.uniform(1e-6, 1e3, n))
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, times, values, header="t,eps")
+        want = ["t,eps"] + [f"{fmt9(t)},{fmt9(x)}" for t, x in zip(times, values)]
+        assert path.read_text() == "\n".join(want) + "\n"
+
+        iso = v.IsochroneDataset(
+            strain_levels=np.cumsum(rng.uniform(1e-3, 1.0, 7)),
+            times=times[:9],
+            phi_t=10.0 ** rng.uniform(-20, 20, (7, 9)),
+        )
+        path = tmp_path / "iso.csv"
+        write_isochrones_csv(path, iso)
+        want = ["eps," + ",".join(fmt9(t) for t in iso.times)]
+        for eps_i, row in zip(iso.strain_levels, iso.phi_t):
+            want.append(fmt9(eps_i) + "," + ",".join(fmt9(x) for x in row))
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 class TestRunModes:
@@ -295,6 +392,18 @@ class TestCli:
                      "--strain-levels", f"1.5,{level}"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error(DomainError):")
+
+    @pytest.mark.parametrize("rows", [20, 10])
+    def test_table1_row_count_mismatch(self, tmp_path, capsys, rows):
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, np.arange(rows) * 10.0,
+                          1000.0 / (1.0 + np.arange(rows)))
+        code = main(["--mode", "table1", "--input", str(path),
+                     "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error(ValidationError):")
+        assert f"has 16 rows, the samples have {rows}" in err
 
     def test_error_text_is_structured(self, tmp_path, capsys):
         dup = tmp_path / "dup.csv"
