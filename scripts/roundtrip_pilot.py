@@ -27,10 +27,7 @@ def recover(horizon, n=64, lam=0.8, q=1.5):
     pl = v.PowerLaw(H=1.0, q=q)
     hist = v.simulate_creep(kp, pl, sigma=1.0, grid=np.linspace(0.0, horizon, n))
     samples = extract_creep_kernel_samples(hist, pl)
-    model = v.KernelSamples(
-        samples.times,
-        np.array([v.creep_kernel(kp, t).value for t in samples.times]),
-    )
+    model = v.KernelSamples(samples.times, v.creep_kernel(kp, samples.times).value)
     res = v.identify(
         samples, v.fit_kernel_spline(model), None,
         v.WeightConfig(lambda0=1.0, q0=1.0), sigma=1.0, pl0=pl,

@@ -14,6 +14,10 @@ of K at hereditary intensity lambda. The term-wise antiderivative
 
 is finite at t = 0 and is what the similarity function is built from.
 
+The kernel and both antiderivatives are one series with a shifted exponent,
+summed by one evaluator over every entry of a scalar or array at once; the
+public functions are a domain check plus one call of it.
+
 Time is treated as dimensionless throughout; beta then carries units
 time**(alpha-1) only in the caller's bookkeeping.
 
@@ -29,8 +33,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-# Cancellation guard: warn when the largest intermediate term exceeds this
-# multiple of the final sum.
+# Cancellation guard: precision_loss flags a sum this many times smaller
+# than the largest term.
 PRECISION_LOSS_RATIO = 1e12
 
 
@@ -72,104 +76,96 @@ DEFAULT_CONTROL = SeriesControl()
 class SeriesSum:
     """Truncated series value plus truncation diagnostics.
 
-    ``precision_loss`` is set when the largest intermediate term exceeded
-    ``PRECISION_LOSS_RATIO`` times the final magnitude, i.e. the alternating
-    sum cancelled catastrophically.
+    ``value`` has the shape of the argument (a float for a scalar);
+    ``terms``, ``last_term`` and ``max_term`` describe the whole call:
+    the terms summed, the largest magnitude of the last term over the
+    entries, and the largest term magnitude met.
     """
 
-    value: float
+    value: float | np.ndarray
     terms: int
     last_term: float
     max_term: float
-    precision_loss: bool
+
+    @property
+    def precision_loss(self):
+        """Per entry: ``max_term`` exceeds ``PRECISION_LOSS_RATIO`` times
+        the entry's magnitude, i.e. the alternating sum may have cancelled
+        catastrophically. ``max_term`` is the whole call's, so an entry much
+        smaller than another entry's peak term is flagged too."""
+        return self.max_term > PRECISION_LOSS_RATIO * np.abs(self.value)
 
     def __float__(self) -> float:
-        return self.value
+        return float(self.value)
 
 
-def _alternating_sum(alpha: float, rate: float, s: float, exponent_shift: float,
-                     ctl: SeriesControl) -> SeriesSum:
-    """Sum (-rate)**n * s**(c_n + shift) / Gamma(c_n + 1 + shift) over n.
-
-    shift = -1 gives the kernel itself (after the Gamma argument shift),
-    shift = 0 the first antiderivative, shift = 1 the second.
-    """
-    total = 0.0
-    max_term = 0.0
-    term = 0.0
-    for n in range(ctl.max_terms):
-        c = (1.0 - alpha) * (1 + n)
-        term = (-rate) ** n * s ** (c + exponent_shift) / math.gamma(c + 1.0 + exponent_shift)
-        total += term
-        mag = abs(term)
-        max_term = max(max_term, mag)
-        if mag <= ctl.abs_tol:
-            loss = max_term > PRECISION_LOSS_RATIO * max(abs(total), np.finfo(float).tiny)
-            return SeriesSum(total, n + 1, mag, max_term, loss)
-    raise ConvergenceError(
-        f"kernel series did not converge within {ctl.max_terms} terms",
-        last_term=abs(term),
-    )
+def _check_domain(x, bad, message: str) -> None:
+    """Raise DomainError naming the first entry of ``x`` where ``bad`` holds."""
+    if np.any(bad):
+        raise DomainError(f"{message}, got {np.asarray(x)[bad].flat[0]}")
 
 
-def creep_kernel(params: KernelParams, s: float,
+def creep_kernel(params: KernelParams, s,
                  ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesSum:
-    """Creep kernel K(s) for s > 0.
+    """Creep kernel K(s) for s > 0, elementwise over a scalar or array.
 
-    Singular at s = 0; the series is truncated when the last added term is
-    no larger than ``ctl.abs_tol``.
+    Singular at s = 0; the series is truncated when no entry's last added
+    term is larger than ``ctl.abs_tol``.
     """
-    if s <= 0.0:
-        raise DomainError(f"creep kernel is singular at 0; need s > 0, got {s}")
-    return _alternating_sum(params.alpha, params.beta, s, -1.0, ctl)
+    _check_domain(s, ~(np.asarray(s) > 0.0), "creep kernel is singular at 0; need s > 0")
+    return _antiderivative_grid(params.alpha, params.beta, s, 0, ctl)
 
 
-def relaxation_kernel(params: KernelParams, s: float,
+def relaxation_kernel(params: KernelParams, s,
                       ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesSum:
     """Relaxation kernel R(s): the creep series with rate beta + lambda."""
-    if s <= 0.0:
-        raise DomainError(f"relaxation kernel is singular at 0; need s > 0, got {s}")
-    return _alternating_sum(params.alpha, params.beta + params.lam, s, -1.0, ctl)
+    _check_domain(s, ~(np.asarray(s) > 0.0),
+                  "relaxation kernel is singular at 0; need s > 0")
+    return _antiderivative_grid(params.alpha, params.beta + params.lam, s, 0, ctl)
 
 
-def creep_kernel_integral(params: KernelParams, t: float,
+def creep_kernel_integral(params: KernelParams, t,
                           ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesSum:
-    """integral_0^t K(tau) dtau, term-wise, exact at the series level.
+    """integral_0^t K(tau) dtau for t >= 0, term-wise, exact at the series level.
 
     Returns the bare integral; the similarity function is 1 + lam * this.
     """
-    if t < 0.0:
-        raise DomainError(f"need t >= 0, got {t}")
-    if t == 0.0:
-        return SeriesSum(0.0, 0, 0.0, 0.0, False)
-    return _alternating_sum(params.alpha, params.beta, t, 0.0, ctl)
+    _check_domain(t, ~(np.asarray(t) >= 0.0), "need t >= 0")
+    return _antiderivative_grid(params.alpha, params.beta, t, 1, ctl)
 
 
-def _antiderivative_grid(alpha: float, rate: float, s: np.ndarray, order: int,
-                         ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
-    """Vectorized first (order=1) or second (order=2) kernel antiderivative.
+def _antiderivative_grid(alpha: float, rate: float, s, order: int,
+                         ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesSum:
+    """The kernel (order=0) or its first or second antiderivative (order=1, 2).
 
-    Shared by the product-integration convolution; truncation is driven by
-    the largest entry of ``s`` so every entry is at least as converged as
-    the scalar contract requires. Entries at s = 0 are exactly 0.
+    Sums (-rate)**n * s**(c_n + order - 1) / Gamma(c_n + order) over n for
+    every entry of ``s`` at once. Truncation is driven by the largest term
+    over the entries, so every entry is at least as converged as
+    ``ctl.abs_tol`` asks. Entries at s = 0 are exactly 0. A term that
+    overflows or is not finite ends the sum with ``ConvergenceError``.
     """
     shift = float(order - 1)
     s = np.asarray(s, dtype=float)
     total = np.zeros_like(s)
     pos = s > 0.0
-    if not np.any(pos):
-        return total
     sp = s[pos]
     acc = np.zeros_like(sp)
-    term = np.zeros_like(sp)
-    for n in range(ctl.max_terms):
-        c = (1.0 - alpha) * (1 + n)
-        term = (-rate) ** n * sp ** (c + shift) / math.gamma(c + 1.0 + shift)
-        acc += term
-        if np.max(np.abs(term)) <= ctl.abs_tol:
-            total[pos] = acc
-            return total
-    raise ConvergenceError(
-        f"kernel antiderivative series did not converge within {ctl.max_terms} terms",
-        last_term=float(np.max(np.abs(term))),
-    )
+    max_term = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(ctl.max_terms):
+            c = (1.0 - alpha) * (1 + n)
+            try:
+                term = (-rate) ** n * sp ** (c + shift) / math.gamma(c + 1.0 + shift)
+            except OverflowError:  # from math.gamma or the float power
+                term = math.inf
+            acc += term
+            mag = float(np.max(np.abs(term), initial=0.0))
+            if not math.isfinite(mag):
+                break
+            max_term = max(max_term, mag)
+            if mag <= ctl.abs_tol:
+                total[pos] = acc
+                value = total if total.ndim else float(total)
+                return SeriesSum(value, n + 1, mag, max_term)
+    raise ConvergenceError(f"kernel series did not converge in {n + 1} terms",
+                           last_term=mag)

@@ -15,7 +15,8 @@ integral, which gives closed-form creep and relaxation responses; those are
 the synthetic-data oracles. For piecewise-linear programs the convolutions
 are evaluated by product integration: the kernel's first and second
 antiderivatives are series-exact on every subinterval, so the weak
-singularity never meets a quadrature rule.
+singularity never meets a quadrature rule. The power law and the
+simulators work on whole arrays, with no Python loop per sample.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .kernels import (
     KernelParams,
     SeriesControl,
     _antiderivative_grid,
+    _check_domain,
 )
 
 KIND_CREEP = "creep-at-constant-stress"
@@ -81,17 +83,16 @@ class ResponseHistory:
             raise DomainError("history values must be finite")
 
 
-def phi0(pl: PowerLaw, eps: float) -> float:
-    """Instantaneous stress (H/q) * eps**q for eps >= 0."""
-    if eps < 0.0:
-        raise DomainError(f"phi0 is undefined for negative strain, got {eps}")
+def phi0(pl: PowerLaw, eps):
+    """Instantaneous stress (H/q) * eps**q for eps >= 0, elementwise."""
+    _check_domain(eps, np.asarray(eps) < 0.0, "phi0 is undefined for negative strain")
     return pl.H / pl.q * eps ** pl.q
 
 
-def phi0_inverse(pl: PowerLaw, phi: float) -> float:
-    """Strain (q*phi/H)**(1/q) for phi >= 0; round-trips with phi0."""
-    if phi < 0.0:
-        raise DomainError(f"phi0 inverse is undefined for negative stress, got {phi}")
+def phi0_inverse(pl: PowerLaw, phi):
+    """Strain (q*phi/H)**(1/q) for phi >= 0, elementwise; round-trips with phi0."""
+    _check_domain(phi, np.asarray(phi) < 0.0,
+                  "phi0 inverse is undefined for negative stress")
     return (pl.q * phi / pl.H) ** (1.0 / pl.q)
 
 
@@ -117,10 +118,8 @@ def simulate_creep(kp: KernelParams, pl: PowerLaw, sigma: float,
     if sigma <= 0.0:
         raise DomainError(f"creep stress must be > 0, got {sigma}")
     grid = _check_grid(grid)
-    integral = _antiderivative_grid(kp.alpha, kp.beta, grid, order=1, ctl=ctl)
-    strain = np.array(
-        [phi0_inverse(pl, sigma * (1.0 + kp.lam * gi)) for gi in integral]
-    )
+    integral = _antiderivative_grid(kp.alpha, kp.beta, grid, 1, ctl).value
+    strain = phi0_inverse(pl, sigma * (1.0 + kp.lam * integral))
     return ResponseHistory(grid, strain, KIND_CREEP, sigma)
 
 
@@ -135,7 +134,7 @@ def simulate_relaxation(kp: KernelParams, pl: PowerLaw, eps: float,
     if eps <= 0.0:
         raise DomainError(f"relaxation strain must be > 0, got {eps}")
     grid = _check_grid(grid)
-    integral = _antiderivative_grid(kp.alpha, kp.beta + kp.lam, grid, order=1, ctl=ctl)
+    integral = _antiderivative_grid(kp.alpha, kp.beta + kp.lam, grid, 1, ctl).value
     stress = phi0(pl, eps) * (1.0 - kp.lam * integral)
     return ResponseHistory(grid, stress, KIND_RELAXATION, eps)
 
@@ -185,10 +184,10 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
     lag_lo = times[:, None] - times[None, 1:]    # t_k - t_{i+1}
     lag_hi = times[:, None] - times[None, :-1]   # t_k - t_i
     mask = np.tril(np.ones((n, n - 1), dtype=bool), k=0)
-    I1_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 1, ctl)
-    I1_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 1, ctl)
-    I2_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 2, ctl)
-    I2_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 2, ctl)
+    I1_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 1, ctl).value
+    I1_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 1, ctl).value
+    I2_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 2, ctl).value
+    I2_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 2, ctl).value
     width = lag_hi - lag_lo  # = h_i, independent of k
     slope = (values[:-1] - values[1:]) / (times[1:] - times[:-1])
     contrib = values[None, 1:] * (I1_hi - I1_lo) + slope[None, :] * (
@@ -219,8 +218,7 @@ def resolvent_mismatch(kp: KernelParams, pl: PowerLaw,
     x = sigma + kp.lam * hereditary_convolution(kp.alpha, kp.beta, t, sigma, ctl)
     if np.any(x < 0.0):
         raise DomainError("forward response left the power-law domain (phi < 0)")
-    strain = np.array([phi0_inverse(pl, xi) for xi in x])
-    px = np.array([phi0(pl, ei) for ei in strain])
+    px = phi0(pl, phi0_inverse(pl, x))
     sigma_back = px - kp.lam * hereditary_convolution(
         kp.alpha, kp.beta + kp.lam, t, px, ctl
     )

@@ -255,7 +255,7 @@ def extract_creep_kernel_samples(hist: ResponseHistory,
         raise InsufficientDataError(
             "need at least three history points to differentiate"
         )
-    s = np.array([phi0(pl, e) for e in hist.values]) / hist.driver
+    s = phi0(pl, hist.values) / hist.driver
     u = np.gradient(s, hist.times, edge_order=2)
     return KernelSamples(hist.times[1:], u[1:])
 
@@ -396,12 +396,8 @@ def _run_simulate(cfg: RunConfig) -> Report:
     if cfg.kind == "creep":
         hist = simulate_creep(kp, pl, cfg.sigma, grid)
         samples = extract_creep_kernel_samples(hist, pl)
-        model = np.array(
-            [creep_kernel(kp, t).value for t in samples.times]
-        )
-        # scalar phi0: an array ** can differ from it by an ulp, which would
-        # change the isochrone file's bytes
-        phi_inst = np.array([phi0(pl, e) for e in hist.values])
+        model = creep_kernel(kp, samples.times).value
+        phi_inst = phi0(pl, hist.values)
         s_fun = phi_inst / cfg.sigma
         iso = IsochroneDataset(
             strain_levels=hist.values[1:],
@@ -416,9 +412,7 @@ def _run_simulate(cfg: RunConfig) -> Report:
         hist = simulate_relaxation(kp, pl, cfg.eps, grid)
         raw = relaxation_kernel_from_history(hist, pl, lam=1.0)
         samples = KernelSamples(raw.times[1:], raw.values[1:])
-        model = np.array(
-            [relaxation_kernel(kp, t).value for t in samples.times]
-        )
+        model = relaxation_kernel(kp, samples.times).value
         value_header = "t,sigma"
     else:
         raise ValidationError(f"unknown simulate kind {cfg.kind!r}")

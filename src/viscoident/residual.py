@@ -131,6 +131,15 @@ def _terminal_residual(samples: KernelSamples, segments: Spline,
     return float(samples.values[-1] - cfg.lambda0 * segments[-1].value(t_star))
 
 
+def _moment_weights(resid: np.ndarray, denom: float, m: int) -> np.ndarray:
+    """w_j = 1/(1 + |r_j / denom|**m) for the terminal residual ``denom``."""
+    if denom == 0.0:
+        raise DegenerateNormalizationError(
+            "lambda0 fits the terminal sample exactly; perturb lambda0"
+        )
+    return 1.0 / (1.0 + np.abs(resid / denom) ** m)
+
+
 def stage1_weights(samples: KernelSamples, segments: Spline,
                    cfg: WeightConfig, t_eval) -> np.ndarray:
     """Moment weights w_j = 1/(1 + |r_j / r_terminal|**m), each in (0, 1].
@@ -139,12 +148,7 @@ def stage1_weights(samples: KernelSamples, segments: Spline,
     0 as the model value (hence the residual) grows without bound.
     """
     resid, _ = _residuals(samples, segments, cfg, t_eval)
-    denom = _terminal_residual(samples, segments, cfg)
-    if denom == 0.0:
-        raise DegenerateNormalizationError(
-            "lambda0 fits the terminal sample exactly; perturb lambda0"
-        )
-    return 1.0 / (1.0 + np.abs(resid / denom) ** cfg.m)
+    return _moment_weights(resid, _terminal_residual(samples, segments, cfg), cfg.m)
 
 
 def residual_delta(samples: KernelSamples, segments: Spline,
@@ -157,20 +161,27 @@ def residual_delta(samples: KernelSamples, segments: Spline,
     resid, _ = _residuals(samples, segments, cfg, t_eval)
     if np.all(resid == 0.0):
         return 0.0
-    w = stage1_weights(samples, segments, cfg, t_eval)
+    w = _moment_weights(resid, _terminal_residual(samples, segments, cfg), cfg.m)
     return float(np.sum((w * resid) ** 2))
 
 
 def select_moment_order(samples: KernelSamples, segments: Spline,
                         cfg: WeightConfig, t_eval,
                         m_range=DEFAULT_M_RANGE) -> int:
-    """The m in range minimizing delta; ties break toward the smallest m."""
-    m_range = tuple(m_range)
-    if not m_range:
+    """The m in range minimizing delta; ties break toward the smallest m.
+
+    The residuals are computed once; each order m only reweights them.
+    """
+    orders = [replace(cfg, m=m).m for m in sorted(m_range)]  # validates each m
+    if not orders:
         raise DomainError("m_range must be nonempty")
+    resid, _ = _residuals(samples, segments, cfg, t_eval)
+    if np.all(resid == 0.0):
+        return orders[0]  # an exact fit has delta 0 at every m
+    denom = _terminal_residual(samples, segments, cfg)
     best_m, best_delta = None, math.inf
-    for m in sorted(m_range):
-        d = residual_delta(samples, segments, replace(cfg, m=m), t_eval)
+    for m in orders:
+        d = float(np.sum((_moment_weights(resid, denom, m) * resid) ** 2))
         if d < best_delta:
             best_m, best_delta = m, d
     return best_m

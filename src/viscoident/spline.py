@@ -156,7 +156,7 @@ def similarity_means(data: IsochroneDataset, pl: PowerLaw) -> np.ndarray:
 
         S_j = sum_i phi0(eps_i) * phi_t(eps_i, t_j) / sum_i phi_t(eps_i, t_j)**2
     """
-    phi_inst = np.array([phi0(pl, e) for e in data.strain_levels])
+    phi_inst = phi0(pl, data.strain_levels)
     denom = np.sum(data.phi_t ** 2, axis=0)
     bad = np.nonzero(denom == 0.0)[0]
     if bad.size:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from viscoident import (
+    DEFAULT_CONTROL,
     KernelParams,
     SeriesControl,
     creep_kernel,
@@ -60,6 +61,11 @@ class TestCreepKernel:
             creep_kernel(kp, 0.0)
         with pytest.raises(DomainError):
             creep_kernel(kp, -1.0)
+        # an array names its first offending entry
+        with pytest.raises(DomainError, match=r"got -2\.0$"):
+            creep_kernel(kp, np.array([1.0, -2.0, 0.0]))
+        with pytest.raises(DomainError, match=r"got nan$"):
+            relaxation_kernel(kp, np.array([1.0, np.nan]))
 
     def test_truncation_failure_carries_last_term(self):
         kp = KernelParams(alpha=0.5, beta=1.0, lam=1.0)
@@ -70,6 +76,9 @@ class TestCreepKernel:
     def test_float_protocol_and_term_count(self):
         kp = KernelParams(alpha=0.5, beta=0.0, lam=1.0)
         res = creep_kernel(kp, 4.0)
+        # a scalar argument gives a plain float; the DeprecationWarning
+        # filter turns a float subclass returned by __float__ into an error
+        assert type(res.value) is float
         assert float(res) == res.value
         assert res.terms <= 2  # series collapses after the first term
 
@@ -165,6 +174,16 @@ class TestCreepKernelIntegral:
         kp = KernelParams(alpha=0.5, beta=0.1, lam=1.0)
         with pytest.raises(DomainError):
             creep_kernel_integral(kp, -0.5)
+        with pytest.raises(DomainError, match=r"got -0\.5$"):
+            creep_kernel_integral(kp, np.array([[0.0, 1.0], [-0.5, -1.0]]))
+
+    def test_overflowing_term_raises(self):
+        # z = beta * t**(1 - alpha) = 20: t**c_n overflows before the terms
+        # fall below abs_tol (and math.gamma would overflow after it)
+        kp = KernelParams(alpha=0.5, beta=1.0, lam=0.8)
+        with pytest.raises(ConvergenceError) as err:
+            creep_kernel_integral(kp, 400.0)
+        assert err.value.last_term == math.inf
 
     @given(st.floats(min_value=0.5, max_value=10.0))
     def test_derivative_consistency(self, t):
@@ -201,6 +220,28 @@ class TestParamValidation:
 def test_precision_loss_flag():
     # strong cancellation: the peak term dwarfs the alternating sum
     kp = KernelParams(alpha=0.1, beta=2.0, lam=1.0)
-    res = creep_kernel(kp, 20.0, SeriesControl(max_terms=500, abs_tol=1e-12))
+    ctl = SeriesControl(max_terms=500, abs_tol=1e-12)
+    res = creep_kernel(kp, 20.0, ctl)
     assert res.max_term > 1e12 * abs(res.value)
     assert res.precision_loss
+    # per entry on an array: K(1e-60) ~ 9e5 is within the ratio of the
+    # call's peak term (~4e17), K(20) is not
+    both = creep_kernel(kp, np.array([1e-60, 20.0]), ctl)
+    assert both.max_term == res.max_term
+    assert both.precision_loss.tolist() == [False, True]
+    assert not creep_kernel(kp, 1e-60, ctl).precision_loss
+
+
+@pytest.mark.parametrize("fn, s", [
+    (creep_kernel, [[1e-3, 0.5], [2.0, 7.5]]),
+    (relaxation_kernel, [[1e-3, 0.5], [2.0, 7.5]]),
+    (creep_kernel_integral, [[0.0, 1e-3], [2.0, 7.5]]),
+])
+def test_array_call_matches_scalar_calls(fn, s):
+    # an array is truncated by its slowest entry, so each entry carries at
+    # least as many terms as its own one-element call
+    kp = KernelParams(alpha=0.4, beta=0.3, lam=0.5)
+    res = fn(kp, np.array(s))
+    assert res.value.shape == (2, 2)
+    for si, got in zip(np.ravel(s), res.value.ravel()):
+        assert abs(got - fn(kp, si).value) <= 2.0 * DEFAULT_CONTROL.abs_tol

@@ -47,6 +47,11 @@ class TestPowerLaw:
             phi0(PowerLaw(1.0, 1.5), -0.1)
         with pytest.raises(DomainError):
             phi0_inverse(PowerLaw(1.0, 1.5), -0.1)
+        # any negative entry rejects an array, naming the first one
+        with pytest.raises(DomainError, match=r"got -0\.1$"):
+            phi0(PowerLaw(1.0, 1.5), np.array([0.0, 2.0, -0.1, -3.0]))
+        with pytest.raises(DomainError, match=r"got -3\.0$"):
+            phi0_inverse(PowerLaw(1.0, 1.5), np.array([[1.0, -3.0], [0.5, -0.1]]))
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -57,11 +62,21 @@ class TestPowerLaw:
     @given(
         st.floats(min_value=0.1, max_value=10.0),
         st.floats(min_value=0.3, max_value=3.0),
-        st.floats(min_value=1e-6, max_value=1e6),
+        st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=8),
     )
     def test_round_trip(self, H, q, eps):
         pl = PowerLaw(H, q)
-        assert phi0_inverse(pl, phi0(pl, eps)) == pytest.approx(eps, rel=1e-12)
+        for e in eps:
+            assert phi0_inverse(pl, phi0(pl, e)) == pytest.approx(e, rel=1e-12)
+        # elementwise on arrays: an array ** is within 1 ulp of the scalar
+        # pow, and phi0's scaling by H/q after it can round to 2 ulp apart
+        phi = phi0(pl, np.array(eps))
+        scalar = np.array([phi0(pl, e) for e in eps])
+        assert np.all(np.abs(phi - scalar) <= 2.0 * np.spacing(scalar))
+        back = phi0_inverse(pl, phi)
+        scalar = np.array([phi0_inverse(pl, p) for p in phi])
+        assert np.all(np.abs(back - scalar) <= np.spacing(scalar))
+        assert np.allclose(back, eps, rtol=1e-12, atol=0.0)
 
 
 class TestSimulateCreep:

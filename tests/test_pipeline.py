@@ -379,6 +379,14 @@ class TestCli:
                      "--lambda0", "1.0", "--eval-at-knots"])
         assert code == 3
 
+    @pytest.mark.parametrize("kind", ["creep", "relaxation"])
+    def test_exit_code_series_overflow(self, tmp_path, capsys, kind):
+        # beta * t**(1 - alpha) reaches 20: a series term overflows
+        code = main(["--mode", "simulate", "--kind", kind, "--beta", "1",
+                     "--grid", "0:400:64", "--output", str(tmp_path / "run")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error(ConvergenceError):")
+
     def test_exit_code_no_root(self, table1_file, capsys):
         code = main(["--mode", "identify", "--input", str(table1_file),
                      "--lambda0", "0.9", "--eval-at-knots",
