@@ -10,14 +10,18 @@ each one runs the README recipe (table1, simulate, identify) and operations
 0-2 of the ``creep_roundtrip`` and ``relaxation_longrecord`` benchmark
 workloads for seeds 1-3, taking the operations from this checkout's
 ``perfbench/workloads.py``. It hashes (SHA-256) every file a simulate run
-writes and every ``--no-timestamp`` report, text and JSON, prints the
-outputs whose digests differ and exits 1 if any do, 0 if none do.
+writes and every ``--no-timestamp`` report, text and JSON. It also hashes
+the ``--help`` text and, for each failing call of the CLI tests, the exit
+code and the first line of stderr. It prints the outputs whose digests
+differ and exits 1 if any do, 0 if none do.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import itertools
 import sys
 import tempfile
@@ -88,11 +92,74 @@ def digest_files(out_dir: Path, label: str, digests: dict) -> None:
         digests[f"{label}/{path.name}"] = sha256(path.read_bytes())
 
 
+def cli_outcome(cli, argv) -> tuple:
+    """(exit code, stdout, first stderr line) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse exits after printing --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue().partition("\n")[0]
+
+
+def failing_calls(vi, data: Path) -> dict:
+    """Label -> argv of the failing CLI calls in the tests, on inputs
+    written to ``data``."""
+    fixture = vi.table1_fixture()
+    inputs = {
+        "table1": zip(fixture.times, fixture.values),
+        "empty": [],
+        "dup": [(1, 10), (1, 9)],
+        "negative": [(0, 10), (1, -3), (2, 5)],
+        "rows20": [(10.0 * j, 1000.0 / (1.0 + j)) for j in range(20)],
+        "rows10": [(10.0 * j, 1000.0 / (1.0 + j)) for j in range(10)],
+    }
+    for name, rows in inputs.items():
+        body = "".join(f"{float(t)!r},{float(k)!r}\n" for t, k in rows)
+        (data / f"{name}.csv").write_text("t,K\n" + body if body else "")
+    path = {name: str(data / f"{name}.csv") for name in inputs}
+    knots = ["--input", path["table1"], "--lambda0", "0.9", "--eval-at-knots"]
+    calls = {
+        "parse": ["--mode", "identify", "--input", path["empty"]],
+        "validate-fail": ["--mode", "validate", "--input", path["negative"],
+                          "--no-timestamp"],
+        "validation": ["--mode", "identify", "--input", path["dup"]],
+        "numerical": ["--mode", "identify", "--input", path["table1"],
+                      "--lambda0", "1.0", "--eval-at-knots"],
+        "no-root": ["--mode", "identify"] + knots
+        + ["--sigma-over-H", "1e-4", "--strain-levels", "1e6"],
+    }
+    for kind in ("creep", "relaxation"):
+        calls[f"overflow-{kind}"] = [
+            "--mode", "simulate", "--kind", kind, "--beta", "1",
+            "--grid", "0:400:64", "--output", str(data / "run")]
+    for level in ("nan", "inf", "0", "-0.5"):
+        calls[f"strain-level-{level}"] = ["--mode", "identify"] + knots + [
+            "--strain-levels", f"1.5,{level}"]
+    for rows in (20, 10):
+        calls[f"table1-rows{rows}"] = ["--mode", "table1", "--input",
+                                       path[f"rows{rows}"], "--no-timestamp"]
+    return calls
+
+
+def digest_cli_boundary(vi, data: Path, digests: dict) -> None:
+    """Digest the --help text and each failing call's code and first error."""
+    code, out, _ = cli_outcome(vi.cli, ["--help"])
+    digests["cli/--help"] = sha256(f"{code}\n{out}".encode())
+    data.mkdir()
+    for label, argv in failing_calls(vi, data).items():
+        code, _, error = cli_outcome(vi.cli, argv)
+        error = error.replace(str(data), "DATA")  # temp paths differ per run
+        digests[f"cli/{label}"] = sha256(f"{code}\n{error}".encode())
+
+
 def collect(vi, wl) -> dict:
     """Digest of every output, keyed by recipe, workload, seed, op and file."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        digest_cli_boundary(vi, tmp / "cli", digests)
         readme = tmp / "readme"
         readme.mkdir()
         prefix = str(readme / "syn")

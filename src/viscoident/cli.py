@@ -1,7 +1,10 @@
-"""Command-line interface.
+"""Command-line interface: argument declarations and the error boundary.
 
-Exit codes: 0 success, 1 parse error, 2 validation error, 3 numerical
-error, 4 no root bracketed.
+Options left unset are absent from the parsed arguments, so every default
+is the one ``RunConfig`` declares. A ``ViscoidentError`` prints one
+``error(<Class>): <message>`` line and exits with the class's
+``exit_code``: 1 parse error, 2 validation error, 3 numerical error, 4 no
+root bracketed. A failed validate report exits 2.
 """
 
 from __future__ import annotations
@@ -9,55 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    ConvergenceError,
-    DegenerateColumnError,
-    DegenerateDesignError,
-    DegenerateNormalizationError,
-    DomainError,
-    InfeasibleEtaError,
-    InsufficientDataError,
-    NoRootBracketError,
-    NoRootError,
-    OutOfRangeError,
-    ParseError,
-    PoleError,
-    SingularDenominatorError,
-    ValidationError,
-)
-from .pipeline import RunConfig, run
-from .residual import DEFAULT_M_RANGE
-
-EXIT_PARSE = 1
-EXIT_VALIDATION = 2
-EXIT_NUMERICAL = 3
-EXIT_NO_ROOT = 4
-
-_EXIT_CODES = (
-    (ParseError, EXIT_PARSE),
-    ((NoRootBracketError, NoRootError), EXIT_NO_ROOT),
-    (
-        (
-            ConvergenceError,
-            SingularDenominatorError,
-            DegenerateNormalizationError,
-            DegenerateDesignError,
-            PoleError,
-            InfeasibleEtaError,
-        ),
-        EXIT_NUMERICAL,
-    ),
-    (
-        (
-            ValidationError,
-            DomainError,
-            InsufficientDataError,
-            DegenerateColumnError,
-            OutOfRangeError,
-        ),
-        EXIT_VALIDATION,
-    ),
-)
+from .errors import ValidationError, ViscoidentError
+from .pipeline import RUNNERS, RunConfig, run, write_output
 
 
 def _parse_m_range(text: str) -> tuple:
@@ -84,9 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
             "approximation of kernel samples and weighted-residual "
             "estimation of the intensity and exponent parameters."
         ),
+        argument_default=argparse.SUPPRESS,
     )
-    p.add_argument("--mode", choices=("identify", "simulate", "table1", "validate"),
-                   default="identify")
+    p.add_argument("--mode", choices=RUNNERS)
     p.add_argument("--input", help="kernel samples CSV (t,K; optional header)")
     p.add_argument("--isochrones", help="isochrone matrix CSV")
     p.add_argument("--model-samples",
@@ -94,19 +50,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "given, segments are fitted to it instead of to the data")
     p.add_argument("--output", help="report path (identify/table1/validate) "
                                     "or output file prefix (simulate)")
-    p.add_argument("--lambda0", type=float, default=1.0,
-                   help="initial intensity guess (default 1)")
-    p.add_argument("--q0", type=float, default=1.0,
-                   help="initial exponent guess (default 1)")
-    p.add_argument("--m-range", type=_parse_m_range,
-                   default=DEFAULT_M_RANGE, metavar="LO:HI|M1,M2,...",
+    p.add_argument("--lambda0", type=float, help="initial intensity guess (default 1)")
+    p.add_argument("--q0", type=float, help="initial exponent guess (default 1)")
+    p.add_argument("--m-range", type=_parse_m_range, metavar="LO:HI|M1,M2,...",
                    help="difference-moment orders scanned (default 2:8)")
-    p.add_argument("--gamma", type=float, default=1e-6,
+    p.add_argument("--gamma", type=float,
                    help="target residual level (cancels from the estimate)")
     p.add_argument("--sigma-over-H", type=float, dest="sigma_over_h",
                    help="stress to modulus ratio entering eta")
-    p.add_argument("--strain-levels", type=_parse_levels, default=(),
-                   metavar="E1,E2,...",
+    p.add_argument("--strain-levels", type=_parse_levels, metavar="E1,E2,...",
                    help="strain levels for the exponent stage when no "
                         "isochrone file is given")
     p.add_argument("--eval-at-knots", action="store_true",
@@ -117,41 +69,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", dest="json_output",
                    help="emit the report as JSON")
     sim = p.add_argument_group("simulate mode")
-    sim.add_argument("--kind", choices=("creep", "relaxation"), default="creep")
-    sim.add_argument("--alpha", type=float, default=0.5)
-    sim.add_argument("--beta", type=float, default=0.0)
-    sim.add_argument("--lam", type=float, default=0.8,
-                     help="true hereditary intensity")
-    sim.add_argument("--H", type=float, default=1.0)
-    sim.add_argument("--q", type=float, default=1.5)
-    sim.add_argument("--sigma", type=float, default=1.0,
-                     help="held stress for creep runs")
-    sim.add_argument("--eps", type=float, default=1.0,
-                     help="held strain for relaxation runs")
-    sim.add_argument("--grid", type=_parse_grid, default=(0.0, 0.005, 64),
-                     metavar="START:STOP:N")
+    sim.add_argument("--kind", choices=("creep", "relaxation"))
+    sim.add_argument("--alpha", type=float)
+    sim.add_argument("--beta", type=float)
+    sim.add_argument("--lam", type=float, help="true hereditary intensity")
+    sim.add_argument("--H", type=float)
+    sim.add_argument("--q", type=float)
+    sim.add_argument("--sigma", type=float, help="held stress for creep runs")
+    sim.add_argument("--eps", type=float, help="held strain for relaxation runs")
+    sim.add_argument("--grid", type=_parse_grid, metavar="START:STOP:N")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(**vars(args))
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         report = run(cfg)
-    except Exception as exc:  # noqa: BLE001 - total error mapping is the contract
-        for classes, code in _EXIT_CODES:
-            if isinstance(exc, classes):
-                print(f"error({type(exc).__name__}): {exc}", file=sys.stderr)
-                return code
-        raise
-    text = report.to_json() + "\n" if cfg.json_output else report.to_text()
-    if cfg.output and cfg.mode != "simulate":
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        text = report.to_json() + "\n" if cfg.json_output else report.to_text()
+        if cfg.output and cfg.mode != "simulate":
+            write_output(cfg.output, text)
+        else:
+            sys.stdout.write(text)
+    except ViscoidentError as exc:
+        print(f"error({type(exc).__name__}): {exc}", file=sys.stderr)
+        return exc.exit_code
     if cfg.mode == "validate" and report.result.get("failed", "none") != "none":
-        return EXIT_VALIDATION
+        return ValidationError.exit_code
     return 0
 
 

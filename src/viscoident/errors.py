@@ -1,8 +1,8 @@
 """Exception hierarchy shared by the library and the CLI.
 
-Each error class maps to one CLI exit code class: parse (1), validation (2),
-numerical (3), no-root (4). The library raises these directly; the CLI owns
-the mapping.
+Each concrete error class carries the CLI exit code of its kind in
+``exit_code``: parse (1), validation (2), numerical (3), no root (4). The
+library raises these directly; the CLI prints the error and returns its code.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ class ViscoidentError(Exception):
 class ParseError(ViscoidentError):
     """Malformed input file. Carries the 1-based row number when known."""
 
+    exit_code = 1
+
     def __init__(self, message: str, row: int | None = None):
         self.row = row
         if row is not None:
@@ -24,6 +26,8 @@ class ParseError(ViscoidentError):
 
 class ValidationError(ViscoidentError):
     """Well-formed input that violates a data invariant."""
+
+    exit_code = 2
 
     def __init__(self, message: str, row: int | None = None):
         self.row = row
@@ -35,9 +39,13 @@ class ValidationError(ViscoidentError):
 class DomainError(ViscoidentError):
     """Argument outside the mathematical domain of an operation."""
 
+    exit_code = 2
+
 
 class ConvergenceError(ViscoidentError):
     """A series or iteration did not converge. Carries the last term magnitude."""
+
+    exit_code = 3
 
     def __init__(self, message: str, last_term: float):
         self.last_term = last_term
@@ -47,13 +55,19 @@ class ConvergenceError(ViscoidentError):
 class InsufficientDataError(ViscoidentError):
     """Too few samples for the requested operation."""
 
+    exit_code = 2
+
 
 class DegenerateColumnError(ViscoidentError):
     """A similarity-mean column has a vanishing denominator."""
 
+    exit_code = 2
+
 
 class SingularDenominatorError(ViscoidentError):
     """Spline coefficient denominator h_{j-1}(2 t_j - h_{j-1}) vanished."""
+
+    exit_code = 3
 
     def __init__(self, message: str, knot_index: int):
         self.knot_index = knot_index
@@ -63,19 +77,27 @@ class SingularDenominatorError(ViscoidentError):
 class OutOfRangeError(ViscoidentError):
     """Evaluation time outside the fitted sample range (no extrapolation)."""
 
+    exit_code = 2
+
 
 class DegenerateNormalizationError(ViscoidentError):
     """Terminal-sample weight denominator is zero: the initial intensity
     guess fits the terminal point exactly; perturb it."""
 
+    exit_code = 3
+
 
 class DegenerateDesignError(ViscoidentError):
     """All weighted model values vanish; the scale estimate is undefined."""
+
+    exit_code = 3
 
 
 class PoleError(ViscoidentError):
     """A sample residual is exactly zero, so its reciprocal weight is
     undefined. Carries the offending 1-based sample index."""
+
+    exit_code = 3
 
     def __init__(self, message: str, sample_index: int):
         self.sample_index = sample_index
@@ -85,10 +107,16 @@ class PoleError(ViscoidentError):
 class InfeasibleEtaError(ViscoidentError):
     """Nonpositive eta; the exponent root problem needs eta > 0."""
 
+    exit_code = 3
+
 
 class NoRootBracketError(ViscoidentError):
     """No exponent root of eps**q = eta*q exists in (0, q_bar]."""
 
+    exit_code = 4
+
 
 class NoRootError(ViscoidentError):
     """No (strain level, knot) pair has an exponent root."""
+
+    exit_code = 4

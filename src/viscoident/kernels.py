@@ -47,12 +47,12 @@ class KernelParams:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
+        if not 0.0 < self.alpha < 1.0:  # NaN fails every comparison
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.beta < 0.0:
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
-        if self.lam <= 0.0:
-            raise DomainError(f"lambda must be > 0, got {self.lam}")
+        if not 0.0 <= self.beta < math.inf:
+            raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"lambda must be finite and > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,15 @@ class SeriesSum:
 
     def __float__(self) -> float:
         return float(self.value)
+
+    def checked(self, s):
+        """``value``; ConvergenceError if an entry at s > 0 has ``precision_loss``."""
+        s = np.asarray(s)
+        lost = self.precision_loss & (s > 0.0)
+        if np.any(lost):
+            raise ConvergenceError(f"kernel series lost precision at s = {s[lost][0]}: "
+                                   f"largest term {self.max_term:.3e}", self.last_term)
+        return self.value
 
 
 def _check_domain(x, bad, message: str) -> None:

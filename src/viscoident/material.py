@@ -21,6 +21,7 @@ simulators work on whole arrays, with no Python loop per sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,10 @@ class PowerLaw:
     q: float
 
     def __post_init__(self):
-        if self.H <= 0.0:
-            raise DomainError(f"H must be > 0, got {self.H}")
-        if self.q <= 0.0:
-            raise DomainError(f"q must be > 0, got {self.q}")
+        for name in ("H", "q"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -67,18 +68,12 @@ class ResponseHistory:
     driver: float
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _check_grid(self.times)
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        if t.ndim != 1 or v.ndim != 1 or len(t) != len(v):
+        if v.shape != t.shape:
             raise DomainError("times and values must be 1-d and equally long")
-        if len(t) < 2:
-            raise DomainError("a history needs at least two samples")
-        if t[0] != 0.0:
-            raise DomainError(f"history must start at t = 0, got {t[0]}")
-        if not np.all(np.diff(t) > 0.0):
-            raise DomainError("history times must be strictly increasing")
         if not np.all(np.isfinite(v)):
             raise DomainError("history values must be finite")
 
@@ -115,10 +110,10 @@ def simulate_creep(kp: KernelParams, pl: PowerLaw, sigma: float,
     The convolution collapses, giving
     eps(t) = phi0_inverse(sigma * (1 + lam * integral_0^t K)).
     """
-    if sigma <= 0.0:
-        raise DomainError(f"creep stress must be > 0, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"creep stress must be finite and > 0, got {sigma}")
     grid = _check_grid(grid)
-    integral = _antiderivative_grid(kp.alpha, kp.beta, grid, 1, ctl).value
+    integral = _antiderivative_grid(kp.alpha, kp.beta, grid, 1, ctl).checked(grid)
     strain = phi0_inverse(pl, sigma * (1.0 + kp.lam * integral))
     return ResponseHistory(grid, strain, KIND_CREEP, sigma)
 
@@ -131,10 +126,11 @@ def simulate_relaxation(kp: KernelParams, pl: PowerLaw, eps: float,
     sigma(t) = phi0(eps) * (1 - lam * integral_0^t R), where the resolvent
     integral is the creep integral with rate beta + lam.
     """
-    if eps <= 0.0:
-        raise DomainError(f"relaxation strain must be > 0, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"relaxation strain must be finite and > 0, got {eps}")
     grid = _check_grid(grid)
-    integral = _antiderivative_grid(kp.alpha, kp.beta + kp.lam, grid, 1, ctl).value
+    integral = _antiderivative_grid(
+        kp.alpha, kp.beta + kp.lam, grid, 1, ctl).checked(grid)
     stress = phi0(pl, eps) * (1.0 - kp.lam * integral)
     return ResponseHistory(grid, stress, KIND_RELAXATION, eps)
 
@@ -179,6 +175,10 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.size == 0 or values.shape != times.shape:
+        raise DomainError("times and values must be 1-d, non-empty and equally long")
+    if not np.all(np.diff(times) > 0.0):
+        raise DomainError("convolution times must be strictly increasing")
     n = len(times)
     # lag matrices for all (k, i) pairs, masked to i < k
     lag_lo = times[:, None] - times[None, 1:]    # t_k - t_{i+1}

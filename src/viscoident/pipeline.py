@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InsufficientDataError, ParseError, ValidationError
+from .errors import DomainError, InsufficientDataError, ParseError, ValidationError
 from .kernels import KernelParams, creep_kernel, relaxation_kernel
 from .material import (
     KIND_CREEP,
@@ -75,7 +75,7 @@ def fmt9_rows(table) -> list[str]:
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; mode-specific fields may stay None."""
+    """Every run setting and the CLI's only defaults; mode-specific ones may be None."""
 
     mode: str = "identify"
     input: str | None = None
@@ -149,18 +149,34 @@ def _digest(path: str | Path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _read_input(path: Path) -> str:
+    """The text of an input file; failing to read it is a ParseError."""
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not a text file") from None
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write one output file; failing to write it is a ValidationError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def ingest_kernel_samples(path: str | Path) -> KernelSamples:
     """Read comma-separated (t, K) rows, optional header, into samples."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
     times, values = [], []
-    rows = path.read_text().splitlines()
+    rows = _read_input(path).splitlines()
     data_rows = [
         (i + 1, r.strip()) for i, r in enumerate(rows) if r.strip()
     ]
-    if not data_rows:
-        raise ParseError(f"{path}: file holds no data rows")
     for rownum, raw in data_rows:
         try:  # float() ignores the whitespace around each field
             rec = list(map(float, raw.split(",")))
@@ -195,9 +211,7 @@ def ingest_kernel_samples(path: str | Path) -> KernelSamples:
 def ingest_isochrones(path: str | Path) -> IsochroneDataset:
     """Read an isochrone matrix: header row of times, strain-level rows."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    rows = [r for r in path.read_text().splitlines() if r.strip()]
+    rows = [r for r in _read_input(path).splitlines() if r.strip()]
     if len(rows) < 2:
         raise ParseError(f"{path}: need a time header plus strain rows")
     head = rows[0].split(",")
@@ -230,13 +244,13 @@ def ingest_isochrones(path: str | Path) -> IsochroneDataset:
 def write_samples_csv(path: str | Path, times, values,
                       header: str = "t,K") -> None:
     lines = [header] + fmt9_rows(np.column_stack((times, values)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_output(path, "\n".join(lines) + "\n")
 
 
 def write_isochrones_csv(path: str | Path, data: IsochroneDataset) -> None:
     lines = ["eps," + fmt9_rows([data.times])[0]]
     lines += fmt9_rows(np.column_stack((data.strain_levels, data.phi_t)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_output(path, "\n".join(lines) + "\n")
 
 
 def extract_creep_kernel_samples(hist: ResponseHistory,
@@ -335,6 +349,7 @@ def _run_identify(cfg: RunConfig) -> Report:
         digests["isochrones"] = _digest(cfg.isochrones)
 
     sigma_over_h = cfg.sigma_over_h if cfg.sigma_over_h is not None else 1.0
+    wcfg = WeightConfig(lambda0=cfg.lambda0, q0=cfg.q0, gamma=cfg.gamma)
     pl0 = PowerLaw(H=1.0, q=cfg.q0)
     if samples is None:
         samples = derive_samples_from_isochrones(iso, pl0)
@@ -355,7 +370,6 @@ def _run_identify(cfg: RunConfig) -> Report:
         segments = fit_kernel_spline(samples)
 
     strain_levels = np.array(cfg.strain_levels) if cfg.strain_levels else None
-    wcfg = WeightConfig(lambda0=cfg.lambda0, q0=cfg.q0, gamma=cfg.gamma)
     result = identify(
         samples, segments, iso, wcfg, sigma=sigma_over_h, pl0=pl0,
         strain_levels=strain_levels, at_knots=cfg.eval_at_knots,
@@ -389,14 +403,18 @@ def _run_simulate(cfg: RunConfig) -> Report:
         raise ValidationError("simulate needs --output as a file prefix")
     kp = KernelParams(alpha=cfg.alpha, beta=cfg.beta, lam=cfg.lam)
     pl = PowerLaw(H=cfg.H, q=cfg.q)
-    grid = np.linspace(cfg.grid[0], cfg.grid[1], int(cfg.grid[2]))
+    start, stop, count = cfg.grid
+    if not (math.isfinite(start) and math.isfinite(stop) and count >= 0):
+        raise DomainError(f"grid needs finite ends and a point count >= 0, "
+                          f"got {start}:{stop}:{count}")
+    grid = np.linspace(start, stop, int(count))
     base = Path(cfg.output)
 
     outputs = {}
     if cfg.kind == "creep":
         hist = simulate_creep(kp, pl, cfg.sigma, grid)
         samples = extract_creep_kernel_samples(hist, pl)
-        model = creep_kernel(kp, samples.times).value
+        model = creep_kernel(kp, samples.times).checked(samples.times)
         phi_inst = phi0(pl, hist.values)
         s_fun = phi_inst / cfg.sigma
         iso = IsochroneDataset(
@@ -412,7 +430,7 @@ def _run_simulate(cfg: RunConfig) -> Report:
         hist = simulate_relaxation(kp, pl, cfg.eps, grid)
         raw = relaxation_kernel_from_history(hist, pl, lam=1.0)
         samples = KernelSamples(raw.times[1:], raw.values[1:])
-        model = relaxation_kernel(kp, samples.times).value
+        model = relaxation_kernel(kp, samples.times).checked(samples.times)
         value_header = "t,sigma"
     else:
         raise ValidationError(f"unknown simulate kind {cfg.kind!r}")
@@ -501,14 +519,16 @@ def _run_validate(cfg: RunConfig) -> Report:
     return report
 
 
+RUNNERS = {
+    "identify": _run_identify,
+    "simulate": _run_simulate,
+    "table1": _run_table1,
+    "validate": _run_validate,
+}
+
+
 def run(cfg: RunConfig) -> Report:
     """Dispatch one run; returns the report (callers render and write it)."""
-    runners = {
-        "identify": _run_identify,
-        "simulate": _run_simulate,
-        "table1": _run_table1,
-        "validate": _run_validate,
-    }
-    if cfg.mode not in runners:
+    if cfg.mode not in RUNNERS:
         raise ValidationError(f"unknown mode {cfg.mode!r}")
-    return runners[cfg.mode](cfg)
+    return RUNNERS[cfg.mode](cfg)

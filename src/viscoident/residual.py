@@ -78,15 +78,14 @@ class WeightConfig:
     q0: float = 1.0
     m: int = 2
     gamma: float = 1e-6
-    t_star: float | None = None
 
     def __post_init__(self):
-        if self.lambda0 <= 0.0 or self.q0 <= 0.0:
-            raise DomainError("lambda0 and q0 must be > 0")
+        for name in ("lambda0", "q0", "gamma"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
         if not isinstance(self.m, int) or self.m < 2:
             raise DomainError(f"m must be an integer >= 2, got {self.m}")
-        if self.gamma <= 0.0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma}")
 
 
 @dataclass
@@ -127,8 +126,7 @@ def _residuals(samples: KernelSamples, segments: Spline,
 def _terminal_residual(samples: KernelSamples, segments: Spline,
                        cfg: WeightConfig) -> float:
     """Normalizing residual at the terminal time t_star."""
-    t_star = cfg.t_star if cfg.t_star is not None else samples.t_star
-    return float(samples.values[-1] - cfg.lambda0 * segments[-1].value(t_star))
+    return float(samples.values[-1] - cfg.lambda0 * segments[-1].value(samples.t_star))
 
 
 def _moment_weights(resid: np.ndarray, denom: float, m: int) -> np.ndarray:
@@ -235,8 +233,8 @@ def lambda_gamma_form(samples: KernelSamples, segments: Spline,
 
 def eta(spline: Spline, sigma: float, pl: PowerLaw, lambda_hat: float):
     """eta_j = (sigma/H) * (1 + lambda_hat * integral_0^{t_j} K_j), per knot."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < math.inf:  # NaN fails too
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     value = sigma / pl.H * (1.0 + lambda_hat * integrate_segment_from_zero(spline))
     bad = np.flatnonzero(value <= 0.0)
     if bad.size:

@@ -199,16 +199,17 @@ class TestCreepKernelIntegral:
 
 class TestParamValidation:
     def test_alpha_domain(self):
-        with pytest.raises(DomainError):
-            KernelParams(alpha=0.0, beta=0.1, lam=1.0)
-        with pytest.raises(DomainError):
-            KernelParams(alpha=1.0, beta=0.1, lam=1.0)
+        for alpha in (0.0, 1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^alpha must"):
+                KernelParams(alpha=alpha, beta=0.1, lam=1.0)
 
     def test_beta_lambda_domain(self):
-        with pytest.raises(DomainError):
-            KernelParams(alpha=0.5, beta=-0.1, lam=1.0)
-        with pytest.raises(DomainError):
-            KernelParams(alpha=0.5, beta=0.1, lam=0.0)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^beta must"):
+                KernelParams(alpha=0.5, beta=bad, lam=1.0)
+        for bad in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^lambda must"):
+                KernelParams(alpha=0.5, beta=0.1, lam=bad)
 
     def test_series_control(self):
         with pytest.raises(DomainError):
@@ -230,6 +231,12 @@ def test_precision_loss_flag():
     assert both.max_term == res.max_term
     assert both.precision_loss.tolist() == [False, True]
     assert not creep_kernel(kp, 1e-60, ctl).precision_loss
+    # checked() refuses a lost entry at s > 0 and ignores the exact 0 at s = 0
+    with pytest.raises(ConvergenceError, match="lost precision at s = 20.0"):
+        both.checked(np.array([1e-60, 20.0]))
+    integral = creep_kernel_integral(kp, np.array([0.0, 1e-60]), ctl)
+    assert integral.precision_loss.tolist() == [True, False]
+    assert integral.checked(np.array([0.0, 1e-60])) is integral.value
 
 
 @pytest.mark.parametrize("fn, s", [

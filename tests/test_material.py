@@ -23,7 +23,7 @@ from viscoident import (
     simulate_creep,
     simulate_relaxation,
 )
-from viscoident.errors import DomainError, InsufficientDataError
+from viscoident.errors import ConvergenceError, DomainError, InsufficientDataError
 
 # 200-term summation at 50 decimal digits (mpmath), frozen:
 #   1 - 0.1 * sum_n (-0.1)**n / Gamma(0.5*(1+n)+1)   (resolvent rate 0+0.1)
@@ -54,10 +54,11 @@ class TestPowerLaw:
             phi0_inverse(PowerLaw(1.0, 1.5), np.array([[1.0, -3.0], [0.5, -0.1]]))
 
     def test_parameter_validation(self):
-        with pytest.raises(DomainError):
-            PowerLaw(0.0, 1.0)
-        with pytest.raises(DomainError):
-            PowerLaw(1.0, -2.0)
+        for bad in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^H must"):
+                PowerLaw(bad, 1.0)
+            with pytest.raises(DomainError, match="^q must"):
+                PowerLaw(1.0, bad)
 
     @given(
         st.floats(min_value=0.1, max_value=10.0),
@@ -113,8 +114,19 @@ class TestSimulateCreep:
         pl = PowerLaw(1.0, 1.0)
         with pytest.raises(DomainError):
             simulate_creep(kp, pl, 1.0, np.array([0.5, 1.0]))
-        with pytest.raises(DomainError):
-            simulate_creep(kp, pl, -1.0, np.array([0.0, 1.0]))
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                simulate_creep(kp, pl, sigma, np.array([0.0, 1.0]))
+
+    def test_cancelled_series_refused(self):
+        # beta * t**(1 - alpha) reaches 7: the integral series returns
+        # 2.24e5 at t = 50 where the true value is 0.921
+        kp = KernelParams(0.5, 1.0, 0.8)
+        with pytest.raises(ConvergenceError, match="lost precision"):
+            simulate_creep(kp, PowerLaw(1.0, 1.0), 1.0, np.linspace(0.0, 50.0, 64))
+        with pytest.raises(ConvergenceError, match="lost precision"):
+            simulate_relaxation(kp, PowerLaw(1.0, 1.0), 1.0,
+                                np.linspace(0.0, 10.0, 64))
 
 
 class TestSimulateRelaxation:
@@ -187,6 +199,18 @@ class TestConvolution:
         conv = hereditary_convolution(kp.alpha, kp.beta, t, np.ones_like(t))
         expected = np.array([creep_kernel_integral(kp, ti).value for ti in t])
         assert conv == pytest.approx(expected, rel=1e-12)
+
+
+    @pytest.mark.parametrize("times, values", [
+        ([0.0, 0.5, 0.4, 1.5], np.ones(4)),     # not increasing
+        ([0.0, 0.5, 0.5, 1.5], np.ones(4)),     # repeated time
+        ([0.0, 0.5, 1.0], np.ones(4)),          # values too long
+        ([[0.0, 0.5], [1.0, 1.5]], np.ones((2, 2))),
+        ([], []),
+    ])
+    def test_arguments_checked(self, times, values):
+        with pytest.raises(DomainError):
+            hereditary_convolution(0.5, 0.1, times, values)
 
 
 class TestResolventMismatch:

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import viscoident as v
-from viscoident.cli import main
-from viscoident.errors import ParseError, ValidationError
+from viscoident.cli import build_parser, main
+from viscoident.errors import ParseError, ValidationError, ViscoidentError
 from viscoident.pipeline import (
     Report,
     RunConfig,
@@ -31,6 +31,19 @@ SPECIAL_FLOATS = (
     1e300, -1e300, 1.7976931348623157e308, float("nan"), float("inf"),
     float("-inf"), 123456789.0, 1234567891.0, 2.5e16, 1.0, 1e16, 0.1,
 )
+
+
+# the CLI exit code of every error class: 1 parse, 2 validation,
+# 3 numerical, 4 no root
+EXIT_CODES = {
+    "ParseError": 1,
+    "ValidationError": 2, "DomainError": 2, "InsufficientDataError": 2,
+    "DegenerateColumnError": 2, "OutOfRangeError": 2,
+    "ConvergenceError": 3, "SingularDenominatorError": 3,
+    "DegenerateNormalizationError": 3, "DegenerateDesignError": 3,
+    "PoleError": 3, "InfeasibleEtaError": 3,
+    "NoRootBracketError": 4, "NoRootError": 4,
+}
 
 
 @st.composite
@@ -412,6 +425,55 @@ class TestCli:
         assert code == 2
         assert err.startswith("error(ValidationError):")
         assert f"has 16 rows, the samples have {rows}" in err
+
+    def test_every_error_class_carries_its_exit_code(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        codes = {cls.__name__: cls.exit_code for cls in subclasses(ViscoidentError)}
+        assert codes == EXIT_CODES
+
+    def test_parser_defaults_are_run_config(self):
+        args = build_parser().parse_args([])
+        assert vars(args) == {}
+        cfg = RunConfig(**vars(args))
+        assert cfg == RunConfig()
+        assert (cfg.mode, cfg.lambda0, cfg.q0, cfg.m_range, cfg.gamma) == (
+            "identify", 1.0, 1.0, (2, 3, 4, 5, 6, 7, 8), 1e-6)
+        assert (cfg.kind, cfg.alpha, cfg.beta, cfg.lam, cfg.H, cfg.q,
+                cfg.sigma, cfg.eps, cfg.grid) == (
+            "creep", 0.5, 0.0, 0.8, 1.0, 1.5, 1.0, 1.0, (0.0, 0.005, 64))
+
+    def test_input_directory_is_parse_error(self, tmp_path, capsys):
+        assert main(["--mode", "identify", "--input", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error(ParseError): cannot read")
+
+    @pytest.mark.parametrize("mode", ["simulate", "identify"])
+    def test_output_under_missing_directory(self, tmp_path, table1_file,
+                                            capsys, mode):
+        code = main(["--mode", mode, "--input", str(table1_file),
+                     "--lambda0", "0.9", "--eval-at-knots",
+                     "--output", str(tmp_path / "missing" / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error(ValidationError): cannot write")
+
+    @pytest.mark.parametrize("args, code, error", [
+        (["--mode", "simulate", "--beta", "1", "--grid", "0:50:64"], 3,
+         "ConvergenceError"),
+        (["--mode", "simulate", "--grid", "0:0.005:-3"], 2, "DomainError"),
+        (["--lambda0", "inf"], 2, "DomainError"),
+        (["--sigma-over-H", "nan", "--strain-levels", "1.5"], 2, "DomainError"),
+        (["--gamma", "nan"], 2, "DomainError"),
+    ])
+    def test_exit_code_bad_argument(self, tmp_path, table1_file, capsys,
+                                    args, code, error):
+        base = ["--input", str(table1_file), "--lambda0", "0.9",
+                "--eval-at-knots", "--output", str(tmp_path / "run")]
+        assert main(base + args) == code
+        assert capsys.readouterr().err.startswith(f"error({error}):")
 
     def test_error_text_is_structured(self, tmp_path, capsys):
         dup = tmp_path / "dup.csv"

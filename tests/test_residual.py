@@ -310,8 +310,9 @@ class TestEta:
     def test_infeasible(self, table1_segments):
         with pytest.raises(InfeasibleEtaError):
             eta(table1_segments[1], 1.0, PowerLaw(1.0, 1.0), -1.0)
-        with pytest.raises(DomainError):
-            eta(table1_segments[1], 0.0, PowerLaw(1.0, 1.0), 1.0)
+        for sigma in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^sigma must"):
+                eta(table1_segments[1], sigma, PowerLaw(1.0, 1.0), 1.0)
 
 
 class TestSolveQ:
@@ -517,9 +518,9 @@ class TestIdentify:
 
 class TestWeightConfigValidation:
     def test_invariants(self):
-        with pytest.raises(DomainError):
-            WeightConfig(lambda0=0.0)
+        for name in ("lambda0", "q0", "gamma"):
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(DomainError, match=f"^{name} must"):
+                    WeightConfig(**{name: bad})
         with pytest.raises(DomainError):
             WeightConfig(m=1)
-        with pytest.raises(DomainError):
-            WeightConfig(gamma=0.0)
