@@ -7,13 +7,15 @@ Run from anywhere:
 
 Imports this checkout's ``src/viscoident``, then OTHER_CHECKOUT's, and with
 each one runs the README recipe (table1, simulate, identify) and operations
-0-2 of the ``creep_roundtrip`` and ``relaxation_longrecord`` benchmark
-workloads for seeds 1-3, taking the operations from this checkout's
-``perfbench/workloads.py``. It hashes (SHA-256) every file a simulate run
-writes and every ``--no-timestamp`` report, text and JSON. It also hashes
-the ``--help`` text and, for each failing call of the CLI tests, the exit
-code and the first line of stderr. It prints the outputs whose digests
-differ and exits 1 if any do, 0 if none do.
+0-2 of the ``creep_roundtrip``, ``relaxation_longrecord`` and
+``stress_program`` benchmark workloads for seeds 1-3, taking the operations
+from this checkout's ``perfbench/workloads.py``. It hashes (SHA-256) every
+file a simulate run writes, every ``--no-timestamp`` report, text and JSON,
+and the ``repr`` of every ``resolvent_mismatch``: the stress-program
+operations and the benchmark reference gate's constant stress on 256
+points. It also hashes the ``--help`` text and, for each failing call of
+the CLI tests, the exit code and the first line of stderr. It prints the
+outputs whose digests differ and exits 1 if any do, 0 if none do.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOAD_NAMES = ("creep_roundtrip", "relaxation_longrecord")
+WORKLOAD_NAMES = ("creep_roundtrip", "relaxation_longrecord")  # CLI workloads
 SEEDS = (1, 2, 3)
 OPS_PER_SEED = 3
 README_SIMULATE = [
@@ -154,6 +158,25 @@ def digest_cli_boundary(vi, data: Path, digests: dict) -> None:
         digests[f"cli/{label}"] = sha256(f"{code}\n{error}".encode())
 
 
+def digest_mismatches(vi, wl, digests: dict) -> None:
+    """Digest the repr of each resolvent mismatch (the convolution layer)."""
+    workload = wl.WORKLOADS["stress_program"]
+    for seed in SEEDS:
+        for op in itertools.islice(workload.ops(seed), OPS_PER_SEED):
+            try:
+                output, _ = workload.run(vi, op, None)
+            except wl.OpFailed as exc:
+                output = f"failure: {exc}"
+            label = f"{workload.name}/seed{seed}/op{op['index']}/mismatch"
+            digests[label] = sha256(output.encode())
+    # the constant stress of perfbench/run.py's reference gate
+    t = np.linspace(0.0, 4.0, 256)
+    mismatch = vi.resolvent_mismatch(
+        vi.KernelParams(alpha=0.5, beta=0.1, lam=0.2), vi.PowerLaw(1.0, 1.0),
+        vi.ResponseHistory(t, np.ones(256), vi.KIND_STRESS_PROGRAM, 1.0))
+    digests["reference/mismatch"] = sha256(repr(mismatch).encode())
+
+
 def collect(vi, wl) -> dict:
     """Digest of every output, keyed by recipe, workload, seed, op and file."""
     digests = {}
@@ -191,6 +214,7 @@ def collect(vi, wl) -> dict:
                 for argv in recorder.calls:
                     if argv[1] == "identify":
                         digest_reports(wl, vi.cli, argv, label, digests)
+    digest_mismatches(vi, wl, digests)
     return digests
 
 

@@ -11,9 +11,7 @@ validation.
 __version__ = "0.1.0"
 
 from .kernels import (
-    DEFAULT_CONTROL,
     KernelParams,
-    SeriesControl,
     SeriesSum,
     creep_kernel,
     creep_kernel_integral,

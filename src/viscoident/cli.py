@@ -17,19 +17,33 @@ from .pipeline import RUNNERS, RunConfig, run, write_output
 
 
 def _parse_m_range(text: str) -> tuple:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(","))
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise _format_error("LO:HI or M1,M2,...", text) from None
 
 
 def _parse_grid(text: str) -> tuple:
-    start, stop, count = text.split(":")
-    return (float(start), float(stop), int(count))
+    try:
+        start, stop, count = text.split(":")
+        return (float(start), float(stop), int(count))
+    except ValueError:
+        raise _format_error("START:STOP:N", text) from None
 
 
 def _parse_levels(text: str) -> tuple:
-    return tuple(float(p) for p in text.replace(";", ",").split(","))
+    try:
+        return tuple(float(p) for p in text.replace(";", ",").split(","))
+    except ValueError:
+        raise _format_error("E1,E2,...", text) from None
+
+
+def _format_error(expected: str, text: str) -> argparse.ArgumentTypeError:
+    """argparse prints this message instead of the parser's function name."""
+    return argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,9 @@ is finite at t = 0 and is what the similarity function is built from.
 
 The kernel and both antiderivatives are one series with a shifted exponent,
 summed by one evaluator over every entry of a scalar or array at once; the
-public functions are a domain check plus one call of it.
+public functions are a domain check plus one call of it. The truncation
+rule is fixed: the sum stops once no entry's last term exceeds ABS_TOL, and
+fails with ConvergenceError if that takes more than MAX_TERMS terms.
 
 Time is treated as dimensionless throughout; beta then carries units
 time**(alpha-1) only in the caller's bookkeeping.
@@ -36,6 +38,9 @@ from .errors import ConvergenceError, DomainError
 # Cancellation guard: precision_loss flags a sum this many times smaller
 # than the largest term.
 PRECISION_LOSS_RATIO = 1e12
+# The fixed truncation rule: last term <= ABS_TOL within MAX_TERMS terms.
+MAX_TERMS = 500
+ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,23 +58,6 @@ class KernelParams:
             raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0.0 < self.lam < math.inf:
             raise DomainError(f"lambda must be finite and > 0, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the kernel series."""
-
-    max_terms: int = 500
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-        if self.abs_tol < 0.0:
-            raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol}")
-
-
-DEFAULT_CONTROL = SeriesControl()
 
 
 @dataclass(frozen=True)
@@ -114,44 +102,41 @@ def _check_domain(x, bad, message: str) -> None:
         raise DomainError(f"{message}, got {np.asarray(x)[bad].flat[0]}")
 
 
-def creep_kernel(params: KernelParams, s,
-                 ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesSum:
+def creep_kernel(params: KernelParams, s) -> SeriesSum:
     """Creep kernel K(s) for s > 0, elementwise over a scalar or array.
 
     Singular at s = 0; the series is truncated when no entry's last added
-    term is larger than ``ctl.abs_tol``.
+    term is larger than ``ABS_TOL``.
     """
     _check_domain(s, ~(np.asarray(s) > 0.0), "creep kernel is singular at 0; need s > 0")
-    return _antiderivative_grid(params.alpha, params.beta, s, 0, ctl)
+    return _antiderivative_grid(params.alpha, params.beta, s, 0)
 
 
-def relaxation_kernel(params: KernelParams, s,
-                      ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesSum:
+def relaxation_kernel(params: KernelParams, s) -> SeriesSum:
     """Relaxation kernel R(s): the creep series with rate beta + lambda."""
     _check_domain(s, ~(np.asarray(s) > 0.0),
                   "relaxation kernel is singular at 0; need s > 0")
-    return _antiderivative_grid(params.alpha, params.beta + params.lam, s, 0, ctl)
+    return _antiderivative_grid(params.alpha, params.beta + params.lam, s, 0)
 
 
-def creep_kernel_integral(params: KernelParams, t,
-                          ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesSum:
+def creep_kernel_integral(params: KernelParams, t) -> SeriesSum:
     """integral_0^t K(tau) dtau for t >= 0, term-wise, exact at the series level.
 
     Returns the bare integral; the similarity function is 1 + lam * this.
     """
     _check_domain(t, ~(np.asarray(t) >= 0.0), "need t >= 0")
-    return _antiderivative_grid(params.alpha, params.beta, t, 1, ctl)
+    return _antiderivative_grid(params.alpha, params.beta, t, 1)
 
 
-def _antiderivative_grid(alpha: float, rate: float, s, order: int,
-                         ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesSum:
+def _antiderivative_grid(alpha: float, rate: float, s, order: int) -> SeriesSum:
     """The kernel (order=0) or its first or second antiderivative (order=1, 2).
 
     Sums (-rate)**n * s**(c_n + order - 1) / Gamma(c_n + order) over n for
     every entry of ``s`` at once. Truncation is driven by the largest term
-    over the entries, so every entry is at least as converged as
-    ``ctl.abs_tol`` asks. Entries at s = 0 are exactly 0. A term that
-    overflows or is not finite ends the sum with ``ConvergenceError``.
+    over the entries: the sum stops once no entry's term exceeds ``ABS_TOL``,
+    so every entry is at least that converged. Entries at s = 0 are exactly
+    0. A term that overflows or is not finite, or a last term still above
+    ``ABS_TOL`` after ``MAX_TERMS`` terms, ends with ``ConvergenceError``.
     """
     shift = float(order - 1)
     s = np.asarray(s, dtype=float)
@@ -161,7 +146,7 @@ def _antiderivative_grid(alpha: float, rate: float, s, order: int,
     acc = np.zeros_like(sp)
     max_term = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(ctl.max_terms):
+        for n in range(MAX_TERMS):
             c = (1.0 - alpha) * (1 + n)
             try:
                 term = (-rate) ** n * sp ** (c + shift) / math.gamma(c + 1.0 + shift)
@@ -172,7 +157,7 @@ def _antiderivative_grid(alpha: float, rate: float, s, order: int,
             if not math.isfinite(mag):
                 break
             max_term = max(max_term, mag)
-            if mag <= ctl.abs_tol:
+            if mag <= ABS_TOL:
                 total[pos] = acc
                 value = total if total.ndim else float(total)
                 return SeriesSum(value, n + 1, mag, max_term)

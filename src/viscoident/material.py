@@ -27,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .kernels import (
-    DEFAULT_CONTROL,
-    KernelParams,
-    SeriesControl,
-    _antiderivative_grid,
-    _check_domain,
-)
+from .kernels import KernelParams, _antiderivative_grid, _check_domain
 
 KIND_CREEP = "creep-at-constant-stress"
 KIND_RELAXATION = "relaxation-at-constant-strain"
@@ -103,8 +97,7 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
 
 
 def simulate_creep(kp: KernelParams, pl: PowerLaw, sigma: float,
-                   grid: np.ndarray,
-                   ctl: SeriesControl = DEFAULT_CONTROL) -> ResponseHistory:
+                   grid: np.ndarray) -> ResponseHistory:
     """Strain response to a constant stress step.
 
     The convolution collapses, giving
@@ -113,14 +106,13 @@ def simulate_creep(kp: KernelParams, pl: PowerLaw, sigma: float,
     if not 0.0 < sigma < math.inf:
         raise DomainError(f"creep stress must be finite and > 0, got {sigma}")
     grid = _check_grid(grid)
-    integral = _antiderivative_grid(kp.alpha, kp.beta, grid, 1, ctl).checked(grid)
+    integral = _antiderivative_grid(kp.alpha, kp.beta, grid, 1).checked(grid)
     strain = phi0_inverse(pl, sigma * (1.0 + kp.lam * integral))
     return ResponseHistory(grid, strain, KIND_CREEP, sigma)
 
 
 def simulate_relaxation(kp: KernelParams, pl: PowerLaw, eps: float,
-                        grid: np.ndarray,
-                        ctl: SeriesControl = DEFAULT_CONTROL) -> ResponseHistory:
+                        grid: np.ndarray) -> ResponseHistory:
     """Stress response to a constant strain step.
 
     sigma(t) = phi0(eps) * (1 - lam * integral_0^t R), where the resolvent
@@ -130,7 +122,7 @@ def simulate_relaxation(kp: KernelParams, pl: PowerLaw, eps: float,
         raise DomainError(f"relaxation strain must be finite and > 0, got {eps}")
     grid = _check_grid(grid)
     integral = _antiderivative_grid(
-        kp.alpha, kp.beta + kp.lam, grid, 1, ctl).checked(grid)
+        kp.alpha, kp.beta + kp.lam, grid, 1).checked(grid)
     stress = phi0(pl, eps) * (1.0 - kp.lam * integral)
     return ResponseHistory(grid, stress, KIND_RELAXATION, eps)
 
@@ -160,8 +152,7 @@ def relaxation_kernel_from_history(hist: ResponseHistory, pl: PowerLaw,
 
 
 def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
-                           values: np.ndarray,
-                           ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+                           values: np.ndarray) -> np.ndarray:
     """(K * f)(t_k) on the grid, exact for piecewise-linear f.
 
     On each subinterval the data is linear and the kernel factor is handled
@@ -184,10 +175,10 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
     lag_lo = times[:, None] - times[None, 1:]    # t_k - t_{i+1}
     lag_hi = times[:, None] - times[None, :-1]   # t_k - t_i
     mask = np.tril(np.ones((n, n - 1), dtype=bool), k=0)
-    I1_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 1, ctl).value
-    I1_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 1, ctl).value
-    I2_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 2, ctl).value
-    I2_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 2, ctl).value
+    I1_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 1).value
+    I1_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 1).value
+    I2_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 2).value
+    I2_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 2).value
     width = lag_hi - lag_lo  # = h_i, independent of k
     slope = (values[:-1] - values[1:]) / (times[1:] - times[:-1])
     contrib = values[None, 1:] * (I1_hi - I1_lo) + slope[None, :] * (
@@ -197,8 +188,7 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
 
 
 def resolvent_mismatch(kp: KernelParams, pl: PowerLaw,
-                       sigma_history: ResponseHistory,
-                       ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                       sigma_history: ResponseHistory) -> float:
     """Consistency of the two hereditary forms on a stress program.
 
     The stress record (``sigma_history.values``) is pushed forward to a
@@ -215,11 +205,10 @@ def resolvent_mismatch(kp: KernelParams, pl: PowerLaw,
         )
     t = sigma_history.times
     sigma = sigma_history.values
-    x = sigma + kp.lam * hereditary_convolution(kp.alpha, kp.beta, t, sigma, ctl)
+    x = sigma + kp.lam * hereditary_convolution(kp.alpha, kp.beta, t, sigma)
     if np.any(x < 0.0):
         raise DomainError("forward response left the power-law domain (phi < 0)")
     px = phi0(pl, phi0_inverse(pl, x))
     sigma_back = px - kp.lam * hereditary_convolution(
-        kp.alpha, kp.beta + kp.lam, t, px, ctl
-    )
+        kp.alpha, kp.beta + kp.lam, t, px)
     return float(np.max(np.abs(sigma_back - sigma)))

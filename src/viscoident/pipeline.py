@@ -358,9 +358,7 @@ def _run_identify(cfg: RunConfig) -> Report:
     if cfg.model_samples:
         ref = ingest_kernel_samples(cfg.model_samples)
         digests["model_samples"] = _digest(cfg.model_samples)
-        if len(ref) != len(samples) or not np.allclose(
-            ref.times, samples.times, rtol=0, atol=0
-        ):
+        if not np.array_equal(ref.times, samples.times):
             raise ValidationError(
                 "model sample times must match the data sample times"
             )
@@ -399,7 +397,7 @@ def _run_identify(cfg: RunConfig) -> Report:
 
 
 def _run_simulate(cfg: RunConfig) -> Report:
-    if cfg.output is None:
+    if not cfg.output:
         raise ValidationError("simulate needs --output as a file prefix")
     kp = KernelParams(alpha=cfg.alpha, beta=cfg.beta, lam=cfg.lam)
     pl = PowerLaw(H=cfg.H, q=cfg.q)

@@ -115,11 +115,23 @@ def segment_eval_times(samples: KernelSamples, at_knots: bool = False) -> np.nda
     return mids
 
 
+def _model(samples: KernelSamples, segments: Spline, t_eval,
+           weights=None) -> np.ndarray:
+    """The spline at ``t_eval``, after checking that the segments, the
+    evaluation times and any weights have one entry per sample."""
+    n = len(samples)
+    if len(segments) != n:
+        raise DomainError(f"need one segment per sample ({n}), got {len(segments)}")
+    for name, arg in (("evaluation time", t_eval), ("weight", weights)):
+        if arg is not None and np.shape(arg) != (n,):
+            raise DomainError(f"need one {name} per sample ({n}), "
+                              f"got shape {np.shape(arg)}")
+    return segments.value(t_eval)
+
+
 def _residuals(samples: KernelSamples, segments: Spline,
                cfg: WeightConfig, t_eval) -> tuple[np.ndarray, np.ndarray]:
-    if len(segments) != len(samples):
-        raise DomainError("need one segment per sample")
-    model = segments.value(t_eval)
+    model = _model(samples, segments, t_eval)
     return samples.values - cfg.lambda0 * model, model
 
 
@@ -188,14 +200,14 @@ def select_moment_order(samples: KernelSamples, segments: Spline,
 def omega(samples: KernelSamples, segments: Spline,
           weights: np.ndarray, lam: float, t_eval) -> float:
     """The residual functional sum_j {w_j*[K(t_j) - lam*K_j(t_eval_j)]}**2."""
-    model = segments.value(t_eval)
+    model = _model(samples, segments, t_eval, weights)
     return float(np.sum((weights * (samples.values - lam * model)) ** 2))
 
 
 def lambda_closed_form(samples: KernelSamples, segments: Spline,
                        weights: np.ndarray, t_eval) -> float:
     """Minimizer of the quadratic lam -> omega(lam) for fixed weights."""
-    model = segments.value(t_eval)
+    model = _model(samples, segments, t_eval, weights)
     w2 = np.asarray(weights, dtype=float) ** 2
     denom = float(np.sum(w2 * model ** 2))
     if denom == 0.0:
@@ -353,7 +365,6 @@ def identify(samples: KernelSamples, segments: Spline,
         "lambda_ratio": ratio,
         "model_values": model,
         "residuals": samples.values - cfg.lambda0 * model,
-        "eval_times": t_eval,
     }
 
     q_hat = math.nan

@@ -9,14 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from viscoident import (
-    DEFAULT_CONTROL,
     KernelParams,
-    SeriesControl,
     creep_kernel,
     creep_kernel_integral,
     relaxation_kernel,
 )
 from viscoident.errors import ConvergenceError, DomainError
+from viscoident.kernels import ABS_TOL, MAX_TERMS
 
 # 200-term summation at 50 decimal digits (mpmath), frozen:
 #   sum_n (-0.1)**n * 1**(0.5*(1+n)-1) / Gamma(0.5*(1+n))
@@ -68,10 +67,13 @@ class TestCreepKernel:
             relaxation_kernel(kp, np.array([1.0, np.nan]))
 
     def test_truncation_failure_carries_last_term(self):
-        kp = KernelParams(alpha=0.5, beta=1.0, lam=1.0)
+        # z = beta * s**(1 - alpha) = 2 with 1 - alpha = 0.05: Gamma grows so
+        # slowly that the terms are still rising after MAX_TERMS of them
+        kp = KernelParams(alpha=0.95, beta=2.0, lam=1.0)
         with pytest.raises(ConvergenceError) as err:
-            creep_kernel(kp, 5.0, SeriesControl(max_terms=3, abs_tol=1e-12))
-        assert err.value.last_term > 0.0
+            creep_kernel(kp, 1.0)
+        assert "did not converge in 500 terms" in str(err.value)
+        assert ABS_TOL < err.value.last_term < math.inf
 
     def test_float_protocol_and_term_count(self):
         kp = KernelParams(alpha=0.5, beta=0.0, lam=1.0)
@@ -99,9 +101,9 @@ class TestCreepKernel:
     )
     def test_monotone_truncation(self, alpha, beta, lam, s):
         kp = KernelParams(alpha=alpha, beta=beta, lam=lam)
-        base = creep_kernel(kp, s, SeriesControl(max_terms=500, abs_tol=1e-12))
-        more = creep_kernel(kp, s, SeriesControl(max_terms=1000, abs_tol=1e-12))
-        assert abs(more.value - base.value) <= 1e-12
+        res = creep_kernel(kp, s)
+        assert res.terms < MAX_TERMS
+        assert res.last_term <= ABS_TOL
 
 
 class TestRelaxationKernel:
@@ -211,30 +213,23 @@ class TestParamValidation:
             with pytest.raises(DomainError, match="^lambda must"):
                 KernelParams(alpha=0.5, beta=0.1, lam=bad)
 
-    def test_series_control(self):
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)
-        with pytest.raises(DomainError):
-            SeriesControl(abs_tol=-1e-9)
-
 
 def test_precision_loss_flag():
     # strong cancellation: the peak term dwarfs the alternating sum
     kp = KernelParams(alpha=0.1, beta=2.0, lam=1.0)
-    ctl = SeriesControl(max_terms=500, abs_tol=1e-12)
-    res = creep_kernel(kp, 20.0, ctl)
+    res = creep_kernel(kp, 20.0)
     assert res.max_term > 1e12 * abs(res.value)
     assert res.precision_loss
     # per entry on an array: K(1e-60) ~ 9e5 is within the ratio of the
     # call's peak term (~4e17), K(20) is not
-    both = creep_kernel(kp, np.array([1e-60, 20.0]), ctl)
+    both = creep_kernel(kp, np.array([1e-60, 20.0]))
     assert both.max_term == res.max_term
     assert both.precision_loss.tolist() == [False, True]
-    assert not creep_kernel(kp, 1e-60, ctl).precision_loss
+    assert not creep_kernel(kp, 1e-60).precision_loss
     # checked() refuses a lost entry at s > 0 and ignores the exact 0 at s = 0
     with pytest.raises(ConvergenceError, match="lost precision at s = 20.0"):
         both.checked(np.array([1e-60, 20.0]))
-    integral = creep_kernel_integral(kp, np.array([0.0, 1e-60]), ctl)
+    integral = creep_kernel_integral(kp, np.array([0.0, 1e-60]))
     assert integral.precision_loss.tolist() == [True, False]
     assert integral.checked(np.array([0.0, 1e-60])) is integral.value
 
@@ -251,4 +246,4 @@ def test_array_call_matches_scalar_calls(fn, s):
     res = fn(kp, np.array(s))
     assert res.value.shape == (2, 2)
     for si, got in zip(np.ravel(s), res.value.ravel()):
-        assert abs(got - fn(kp, si).value) <= 2.0 * DEFAULT_CONTROL.abs_tol
+        assert abs(got - fn(kp, si).value) <= 2.0 * ABS_TOL

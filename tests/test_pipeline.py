@@ -460,6 +460,26 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error(ValidationError): cannot write")
 
+    def test_simulate_empty_output_prefix(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--mode", "simulate", "--output", ""]) == 2
+        assert capsys.readouterr().err.startswith("error(ValidationError):")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, value, expected", [
+        ("--grid", "0:1", "START:STOP:N"),
+        ("--m-range", "2,x", "LO:HI or M1,M2,..."),
+        ("--strain-levels", "1,y", "E1,E2,..."),
+    ])
+    def test_malformed_option_names_its_format(self, capsys, option, value,
+                                               expected):
+        with pytest.raises(SystemExit) as exc:
+            main([option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected {expected}, got '{value}'" in err
+        assert "_parse_" not in err
+
     @pytest.mark.parametrize("args, code, error", [
         (["--mode", "simulate", "--beta", "1", "--grid", "0:50:64"], 3,
          "ConvergenceError"),

@@ -524,3 +524,35 @@ class TestWeightConfigValidation:
                     WeightConfig(**{name: bad})
         with pytest.raises(DomainError):
             WeightConfig(m=1)
+
+
+# the six functions that take one entry per sample, as
+# f(samples, segments, weights, t_eval)
+PER_SAMPLE_CALLS = {
+    "omega": lambda d, s, w, t: omega(d, s, w, 1.0, t),
+    "lambda_closed_form": lambda_closed_form,
+    "stage1_weights": lambda d, s, w, t: stage1_weights(d, s, WeightConfig(0.9), t),
+    "residual_delta": lambda d, s, w, t: residual_delta(d, s, WeightConfig(0.9), t),
+    "select_moment_order":
+        lambda d, s, w, t: select_moment_order(d, s, WeightConfig(0.9), t),
+    "lambda_gamma_form":
+        lambda d, s, w, t: lambda_gamma_form(d, s, WeightConfig(0.9), t),
+}
+
+
+@pytest.mark.parametrize("name, broken, cut", [
+    *((name, "segment", "short") for name in ("omega", "lambda_closed_form")),
+    *((name, "evaluation time", "short") for name in PER_SAMPLE_CALLS),
+    ("omega", "evaluation time", "column"),
+    *((name, "weight", "short") for name in ("omega", "lambda_closed_form")),
+])
+def test_one_entry_per_sample(table1, table1_segments, name, broken, cut):
+    # a count or shape mismatch is a DomainError, not a numpy broadcast
+    # error or a silently broadcast sum
+    args = {"segment": table1_segments, "weight": np.ones(len(table1)),
+            "evaluation time": segment_eval_times(table1)}
+    call = PER_SAMPLE_CALLS[name]
+    call(table1, args["segment"], args["weight"], args["evaluation time"])
+    args[broken] = args[broken][slice(-1) if cut == "short" else (slice(None), None)]
+    with pytest.raises(DomainError, match=f"^need one {broken} per sample \\(16\\)"):
+        call(table1, args["segment"], args["weight"], args["evaluation time"])
