@@ -13,9 +13,11 @@ from this checkout's ``perfbench/workloads.py``. It hashes (SHA-256) every
 file a simulate run writes, every ``--no-timestamp`` report, text and JSON,
 and the ``repr`` of every ``resolvent_mismatch``: the stress-program
 operations and the benchmark reference gate's constant stress on 256
-points. It also hashes the ``--help`` text and, for each failing call of
-the CLI tests, the exit code and the first line of stderr. It prints the
-outputs whose digests differ and exits 1 if any do, 0 if none do.
+points. It also hashes the ``--help`` text, for each failing call of the
+CLI and ingestion tests the exit code and the first line of stderr, and
+the validate and ``table1 --input`` reports of the 16-row fixture. It
+prints the outputs whose digests differ and exits 1 if any do, 0 if none
+do.
 """
 
 from __future__ import annotations
@@ -36,6 +38,17 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("creep_roundtrip", "relaxation_longrecord")  # CLI workloads
 SEEDS = (1, 2, 3)
 OPS_PER_SEED = 3
+# malformed inputs of the ingestion tests: (ingester option, file text)
+MALFORMED = {
+    "samples-header-only": ("--input", "t,K\n"),
+    "iso-header-only": ("--isochrones", "eps,0,1\n"),
+    "samples-blank-lines": ("--input", "t,K\n0,10\n\n1,8\n\n2,x\n"),
+    "samples-non-numeric-last": ("--input", "0,10\n1,8\n2,abc\n"),
+    "iso-non-numeric-last": ("--isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4,abc\n"),
+    "samples-trailing-comma": ("--input", "t,K\n0,10\n1,8,\n"),
+    "iso-trailing-comma": ("--isochrones", "eps,0,1\n0.5,2,1.8,\n"),
+    "iso-ragged": ("--isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4\n"),
+}
 README_SIMULATE = [
     "--mode", "simulate", "--kind", "creep", "--alpha", "0.5", "--beta", "0",
     "--lam", "0.8", "--H", "1", "--q", "1.5", "--sigma", "1",
@@ -144,11 +157,16 @@ def failing_calls(vi, data: Path) -> dict:
     for rows in (20, 10):
         calls[f"table1-rows{rows}"] = ["--mode", "table1", "--input",
                                        path[f"rows{rows}"], "--no-timestamp"]
+    for name, (option, text) in MALFORMED.items():
+        (data / f"{name}.csv").write_text(text)
+        calls[f"malformed-{name}"] = ["--mode", "identify", option,
+                                      str(data / f"{name}.csv")]
     return calls
 
 
-def digest_cli_boundary(vi, data: Path, digests: dict) -> None:
-    """Digest the --help text and each failing call's code and first error."""
+def digest_cli_boundary(vi, wl, data: Path, digests: dict) -> None:
+    """Digest the --help text, each failing call's code and first error, and
+    the validate and table1 reports of the 16-row fixture."""
     code, out, _ = cli_outcome(vi.cli, ["--help"])
     digests["cli/--help"] = sha256(f"{code}\n{out}".encode())
     data.mkdir()
@@ -156,6 +174,10 @@ def digest_cli_boundary(vi, data: Path, digests: dict) -> None:
         code, _, error = cli_outcome(vi.cli, argv)
         error = error.replace(str(data), "DATA")  # temp paths differ per run
         digests[f"cli/{label}"] = sha256(f"{code}\n{error}".encode())
+    fixture = ["--input", str(data / "table1.csv"), "--no-timestamp"]
+    for mode in ("validate", "table1"):
+        digest_reports(wl, vi.cli, ["--mode", mode] + fixture, "fixture",
+                       digests)
 
 
 def digest_mismatches(vi, wl, digests: dict) -> None:
@@ -182,7 +204,7 @@ def collect(vi, wl) -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        digest_cli_boundary(vi, tmp / "cli", digests)
+        digest_cli_boundary(vi, wl, tmp / "cli", digests)
         readme = tmp / "readme"
         readme.mkdir()
         prefix = str(readme / "syn")

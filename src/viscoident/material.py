@@ -127,6 +127,25 @@ def simulate_relaxation(kp: KernelParams, pl: PowerLaw, eps: float,
     return ResponseHistory(grid, stress, KIND_RELAXATION, eps)
 
 
+def differentiate(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """d(values)/dt on the grid, second order (central in the interior,
+    one-sided at the ends).
+
+    On a grid too fine for the difference weights (their denominators,
+    products of two spacings, underflow to zero) the derivative of a finite
+    record comes out non-finite; that is a DomainError naming the spacing,
+    and numpy's warnings stay silent.
+    """
+    with np.errstate(all="ignore"):
+        rate = np.gradient(values, times, edge_order=2)
+    if not np.all(np.isfinite(rate)) and np.all(np.isfinite(values)):
+        raise DomainError(
+            f"grid spacing {np.min(np.diff(times)):.3g} is too fine to "
+            f"differentiate the record: its derivative is not finite"
+        )
+    return rate
+
+
 def relaxation_kernel_from_history(hist: ResponseHistory, pl: PowerLaw,
                                    lam: float):
     """Kernel samples R(t_j) = -(1/lam) * sigma'(t_j) / phi0(eps_const).
@@ -146,7 +165,7 @@ def relaxation_kernel_from_history(hist: ResponseHistory, pl: PowerLaw,
         raise InsufficientDataError(
             "need at least three samples to differentiate the record"
         )
-    dsigma = np.gradient(hist.values, hist.times, edge_order=2)
+    dsigma = differentiate(hist.values, hist.times)
     values = -dsigma / (lam * phi0(pl, hist.driver))
     return KernelSamples(hist.times, values)
 

@@ -14,14 +14,18 @@ table1     recompute the bundled reference table's segment coefficients
 validate   run the data invariant suite against an input file.
 
 Reports are deterministic: every number is printed with 9 significant
-digits and the timestamp can be suppressed. ``fmt9_rows`` renders numeric
-tables (the CSV files and the report's sample table) a row at a time;
-``fmt9`` renders scalars (result fields, the config echo, table1 rows).
+digits and the timestamp can be suppressed. ``fmt9_rows`` renders a numeric
+table (a CSV file, the report's sample table) with one format call per
+table; ``fmt9`` renders scalars (result fields, the config echo, table1
+rows). A report keeps each table as its rendered rows, and an input file of
+kernel samples is parsed with one call over its whole body; its rows are
+walked only to name the first malformed one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,6 +41,7 @@ from .material import (
     KIND_CREEP,
     PowerLaw,
     ResponseHistory,
+    differentiate,
     phi0,
     relaxation_kernel_from_history,
     simulate_creep,
@@ -62,15 +67,18 @@ def fmt9(x) -> str:
     return f"{float(x):.9g}"
 
 
-def fmt9_rows(table) -> list[str]:
-    """Each row of a 2-d numeric table as comma-joined ``fmt9`` fields.
+def fmt9_rows(table) -> str:
+    """A 2-d numeric table as CSV text: comma-joined ``fmt9`` fields, one
+    newline-terminated line per row, rendered with one ``%`` call.
 
     ``"%.9g" % x`` and ``f"{x:.9g}"`` share one correctly rounded float
-    formatter, so every field is the string ``fmt9`` gives for a float.
+    formatter, so every field is the string ``fmt9`` gives for a float
+    (for an integral float below 1e9, the string it gives for the int).
     """
     arr = np.asarray(table, dtype=float)
-    row_format = ",".join(["%.9g"] * arr.shape[1])
-    return [row_format % tuple(row) for row in arr.tolist()]
+    nrows, ncols = arr.shape
+    row_format = ",".join(["%.9g"] * ncols) + "\n"
+    return (row_format * nrows) % tuple(arr.ravel().tolist())
 
 
 @dataclass
@@ -103,6 +111,31 @@ class RunConfig:
     grid: tuple = (0.0, 0.005, 64)
 
 
+class Table:
+    """A report table: its column names and its rows as rendered CSV text.
+
+    ``rows`` holds one newline-terminated line per row, fields joined by
+    commas; only the last column may itself contain a comma. A ``j``
+    column is the 1-based row index, an int in the JSON form. (A plain
+    class: a dataclass would add about 1 ms to the package import.)
+    """
+
+    def __init__(self, columns: tuple, rows: str):
+        self.columns = columns
+        self.rows = rows
+
+    def records(self) -> list[dict]:
+        """The rows as dicts of column name to field text (``j`` an int)."""
+        records = []
+        for line in self.rows.splitlines():
+            record = dict(zip(self.columns,
+                              line.split(",", len(self.columns) - 1)))
+            if "j" in record:
+                record["j"] = int(record["j"])
+            records.append(record)
+        return records
+
+
 @dataclass
 class Report:
     """Ordered report sections; renders as text or JSON losslessly."""
@@ -110,14 +143,14 @@ class Report:
     header: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     result: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)  # name -> Table
 
     def to_json_dict(self) -> dict:
         return {
             "header": self.header,
             "config": self.config,
             "result": self.result,
-            "tables": self.tables,
+            "tables": {name: t.records() for name, t in self.tables.items()},
         }
 
     def to_json(self) -> str:
@@ -135,14 +168,12 @@ class Report:
             lines.append("[result]")
             for key, val in self.result.items():
                 lines.append(f"{key}: {val}")
+        parts = ["\n".join(lines) + "\n"]
         for name, table in self.tables.items():
-            lines.append(f"[{name}]")
-            if table:
-                cols = list(table[0].keys())
-                lines.append(",".join(cols))
-                for row in table:
-                    lines.append(",".join(str(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
+            parts.append(f"[{name}]\n")
+            if table.rows:
+                parts += [",".join(table.columns) + "\n", table.rows]
+        return "".join(parts)
 
 
 def _digest(path: str | Path) -> str:
@@ -169,32 +200,66 @@ def write_output(path: str | Path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def ingest_kernel_samples(path: str | Path) -> KernelSamples:
-    """Read comma-separated (t, K) rows, optional header, into samples."""
-    path = Path(path)
-    times, values = [], []
-    rows = _read_input(path).splitlines()
-    data_rows = [
-        (i + 1, r.strip()) for i, r in enumerate(rows) if r.strip()
-    ]
-    for rownum, raw in data_rows:
-        try:  # float() ignores the whitespace around each field
-            rec = list(map(float, raw.split(",")))
-        except ValueError:
-            if rownum == data_rows[0][0]:
-                continue  # header line
-            raise ParseError(f"non-numeric field in {raw!r}", row=rownum)
-        if len(rec) == 3:
-            rec = rec[1:]  # tolerate an index column (j, t, K)
-        if len(rec) != 2:
-            raise ParseError(
-                f"expected two columns (t, K), got {len(rec)}", row=rownum
+def _parse_table(rows: list[str]) -> np.ndarray | None:
+    """Comma-separated rows as one 2-d float array, parsed in one pass;
+    None when the rows differ in width or a field is not a number."""
+    commas = set(map(str.count, rows, itertools.repeat(",")))
+    if len(commas) != 1:
+        return None
+    width = commas.pop() + 1
+    try:  # float() ignores the whitespace around each field
+        flat = np.fromiter(map(float, ",".join(rows).split(",")), float,
+                           count=len(rows) * width)
+    except ValueError:
+        return None
+    return flat.reshape(len(rows), width)
+
+
+def _sample_row_error(lines: list[str], header: bool) -> ParseError:
+    """The error of the first malformed data row; rows count physical lines."""
+    width = None
+    for rownum, raw in enumerate(lines, start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        if header:
+            header = False
+            continue
+        if _parse_table([raw]) is None:
+            return ParseError(f"non-numeric field in {raw!r}", row=rownum)
+        fields = raw.count(",") + 1
+        if fields not in (2, 3):
+            return ParseError(
+                f"expected two columns (t, K), got {fields}", row=rownum
             )
-        times.append(rec[0])
-        values.append(rec[1])
-    if not times:
+        width = width or fields
+        if fields != width:
+            return ParseError(
+                f"{fields} fields where the first data row has {width}",
+                row=rownum,
+            )
+    raise AssertionError("no malformed row in a table that failed to parse")
+
+
+def ingest_kernel_samples(path: str | Path) -> KernelSamples:
+    """Read comma-separated (t, K) rows, optional header, into samples.
+
+    Blank lines are skipped, a first line that is not numeric is a header
+    and an index column (j, t, K) is dropped; every data row must have the
+    width of the first one.
+    """
+    path = Path(path)
+    lines = _read_input(path).splitlines()
+    rows = list(filter(str.strip, lines))
+    header = bool(rows) and _parse_table(rows[:1]) is None
+    if header:
+        rows = rows[1:]
+    if not rows:
         raise ParseError(f"{path}: file holds no data rows")
-    arr_t, arr_v = np.array(times), np.array(values)
+    table = _parse_table(rows)
+    if table is None or table.shape[1] not in (2, 3):  # 3: (j, t, K)
+        raise _sample_row_error(lines, header)
+    arr_t, arr_v = table[:, -2].copy(), table[:, -1].copy()
     if not np.all(np.isfinite(arr_t)) or not np.all(np.isfinite(arr_v)):
         bad = int(np.nonzero(~(np.isfinite(arr_t) & np.isfinite(arr_v)))[0][0])
         raise ValidationError("non-finite sample", row=bad + 1)
@@ -243,14 +308,13 @@ def ingest_isochrones(path: str | Path) -> IsochroneDataset:
 
 def write_samples_csv(path: str | Path, times, values,
                       header: str = "t,K") -> None:
-    lines = [header] + fmt9_rows(np.column_stack((times, values)))
-    write_output(path, "\n".join(lines) + "\n")
+    write_output(path, header + "\n"
+                 + fmt9_rows(np.column_stack((times, values))))
 
 
 def write_isochrones_csv(path: str | Path, data: IsochroneDataset) -> None:
-    lines = ["eps," + fmt9_rows([data.times])[0]]
-    lines += fmt9_rows(np.column_stack((data.strain_levels, data.phi_t)))
-    write_output(path, "\n".join(lines) + "\n")
+    write_output(path, "eps," + fmt9_rows([data.times])
+                 + fmt9_rows(np.column_stack((data.strain_levels, data.phi_t))))
 
 
 def extract_creep_kernel_samples(hist: ResponseHistory,
@@ -270,7 +334,7 @@ def extract_creep_kernel_samples(hist: ResponseHistory,
             "need at least three history points to differentiate"
         )
     s = phi0(pl, hist.values) / hist.driver
-    u = np.gradient(s, hist.times, edge_order=2)
+    u = differentiate(s, hist.times)
     return KernelSamples(hist.times[1:], u[1:])
 
 
@@ -288,7 +352,7 @@ def derive_samples_from_isochrones(iso: IsochroneDataset,
             "need at least three isochrone times to differentiate"
         )
     s_bar = similarity_means(iso, pl0)
-    u = np.gradient(s_bar, iso.times, edge_order=2)
+    u = differentiate(s_bar, iso.times)
     start = 1 if iso.times[0] == 0.0 else 0
     return KernelSamples(iso.times[start:], u[start:])
 
@@ -384,20 +448,20 @@ def _run_identify(cfg: RunConfig) -> Report:
         "model_reference": str(model_ref),
         "q_pairs_failed": str(len(result.diagnostics.get("q_failures", []))),
     }
-    columns = ("t", "K", "model", "weight", "residual")
     table = np.column_stack((
-        samples.times, samples.values, result.diagnostics["model_values"],
-        result.weights, result.diagnostics["residuals"],
+        np.arange(1, len(samples) + 1), samples.times, samples.values,
+        result.diagnostics["model_values"], result.weights,
+        result.diagnostics["residuals"],
     ))
-    report.tables["samples"] = [
-        {"j": j, **dict(zip(columns, line.split(",")))}
-        for j, line in enumerate(fmt9_rows(table), start=1)
-    ]
+    report.tables["samples"] = Table(
+        ("j", "t", "K", "model", "weight", "residual"),
+        fmt9_rows(table),
+    )
     return report
 
 
 def _run_simulate(cfg: RunConfig) -> Report:
-    if not cfg.output:
+    if cfg.output is None:
         raise ValidationError("simulate needs --output as a file prefix")
     kp = KernelParams(alpha=cfg.alpha, beta=cfg.beta, lam=cfg.lam)
     pl = PowerLaw(H=cfg.H, q=cfg.q)
@@ -465,19 +529,13 @@ def _run_table1(cfg: RunConfig) -> Report:
         "rows": str(len(comparison)),
         "flagged_rows": ";".join(str(j) for j in flagged) or "none",
     }
-    report.tables["table1"] = [
-        {
-            "j": row["j"],
-            "t": fmt9(row["t"]),
-            "B": fmt9(row["B"]),
-            "printed_2C": fmt9(row["printed_2C"]),
-            "computed_2C": fmt9(row["computed_2C"]),
-            "printed_3D": fmt9(row["printed_3D"]),
-            "computed_3D": fmt9(row["computed_3D"]),
-            "flag": str(row["flagged"]),
-        }
+    numeric = ("t", "B", "printed_2C", "computed_2C", "printed_3D",
+               "computed_3D")
+    report.tables["table1"] = Table(("j", *numeric, "flag"), "".join(
+        ",".join([str(row["j"]), *(fmt9(row[c]) for c in numeric),
+                  str(row["flagged"])]) + "\n"
         for row in comparison
-    ]
+    ))
     return report
 
 
@@ -488,8 +546,7 @@ def _run_validate(cfg: RunConfig) -> Report:
     checks = []
 
     def check(name, ok, detail=""):
-        checks.append({"check": name, "status": "pass" if ok else "FAIL",
-                       "detail": detail})
+        checks.append((name, "pass" if ok else "FAIL", detail))
 
     check("strictly-increasing-times", bool(np.all(np.diff(samples.times) > 0)))
     check("finite-values", bool(np.all(np.isfinite(samples.values))))
@@ -508,12 +565,15 @@ def _run_validate(cfg: RunConfig) -> Report:
         header=_header(cfg, {"samples": _digest(cfg.input)}),
         config=_config_echo(cfg),
     )
-    failed = [c["check"] for c in checks if c["status"] == "FAIL"]
+    failed = [name for name, status, _ in checks if status == "FAIL"]
     report.result = {
         "checks": str(len(checks)),
         "failed": ";".join(failed) or "none",
     }
-    report.tables["validate"] = checks
+    report.tables["validate"] = Table(
+        ("check", "status", "detail"),
+        "".join(",".join(c) + "\n" for c in checks),
+    )
     return report
 
 
@@ -529,4 +589,6 @@ def run(cfg: RunConfig) -> Report:
     """Dispatch one run; returns the report (callers render and write it)."""
     if cfg.mode not in RUNNERS:
         raise ValidationError(f"unknown mode {cfg.mode!r}")
+    if cfg.output == "":
+        raise ValidationError("--output needs a non-empty path")
     return RUNNERS[cfg.mode](cfg)

@@ -1,6 +1,8 @@
 """Ingestion, run modes, report serialization, CLI contract."""
 
 import json
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -46,6 +48,38 @@ EXIT_CODES = {
 }
 
 
+# (ingester, file text, error class, row, message); "{path}" in a message
+# stands for the file, and a None error class means the text is accepted as
+# the same file without blank lines and carriage returns. Rows count
+# physical lines.
+INGEST_CASES = {
+    "samples-header-only": ("samples", "t,K\n", ParseError, None,
+                            "{path}: file holds no data rows"),
+    "iso-header-only": ("isochrones", "eps,0,1\n", ParseError, None,
+                        "{path}: need a time header plus strain rows"),
+    "samples-blank-lines": ("samples", "t,K\n0,10\n\n1,8\n\n2,x\n", ParseError,
+                            6, "non-numeric field in '2,x'"),
+    "iso-blank-lines": ("isochrones", "eps,0,1\n\n0.5,2,1.8\n\n1.0,4,3.6\n",
+                        None, None, None),
+    "samples-non-numeric-last": ("samples", "0,10\n1,8\n2,abc\n", ParseError,
+                                 3, "non-numeric field in '2,abc'"),
+    "iso-non-numeric-last": ("isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4,abc\n",
+                             ParseError, 3, "non-numeric field in '1.0,4,abc'"),
+    "samples-trailing-comma": ("samples", "t,K\n0,10\n1,8,\n", ParseError, 3,
+                               "non-numeric field in '1,8,'"),
+    "iso-trailing-comma": ("isochrones", "eps,0,1\n0.5,2,1.8,\n", ParseError,
+                           2, "ragged row: 4 fields where 3 expected"),
+    "samples-crlf": ("samples", "t,K\r\n0,10\r\n1,8\r\n", None, None, None),
+    "iso-crlf": ("isochrones", "eps,0,1\r\n0.5,2,1.8\r\n", None, None, None),
+    "iso-ragged": ("isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4\n", ParseError, 3,
+                   "ragged row: 2 fields where 3 expected"),
+    "samples-mixed-width": ("samples", "0,10\n1,1,8\n", ParseError, 2,
+                            "3 fields where the first data row has 2"),
+    "samples-mixed-width-index": ("samples", "j,t,K\n1,0,10\n1,8\n", ParseError,
+                                  3, "2 fields where the first data row has 3"),
+}
+
+
 @st.composite
 def float_tables(draw):
     ncols = draw(st.integers(min_value=1, max_value=6))
@@ -62,6 +96,27 @@ def table1_file(tmp_path, table1):
     path = tmp_path / "samples.csv"
     write_samples_csv(path, table1.times, table1.values)
     return path
+
+
+@pytest.mark.parametrize("case", INGEST_CASES)
+def test_ingestion_error_paths(tmp_path, case):
+    ingester, text, error, row, message = INGEST_CASES[case]
+    ingest = {"samples": ingest_kernel_samples,
+              "isochrones": ingest_isochrones}[ingester]
+    path = tmp_path / "input.csv"
+    path.write_text(text, newline="")
+    if error is None:
+        clean = tmp_path / "clean.csv"
+        clean.write_text(text.replace("\r", "").replace("\n\n", "\n"))
+        got, want = ingest(path), ingest(clean)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(astuple(got), astuple(want), strict=True))
+        return
+    with pytest.raises(error) as err:
+        ingest(path)
+    assert err.value.row == row
+    prefix = "" if row is None else f"row {row}: "
+    assert str(err.value) == prefix + message.format(path=path)
 
 
 class TestIngestSamples:
@@ -244,16 +299,33 @@ class TestReport:
 
     @given(float_tables())
     def test_table_rows_match_scalar_rendering(self, table):
-        assert fmt9_rows(table) == [
-            ",".join(fmt9(x) for x in row) for row in table
-        ]
+        assert fmt9_rows(table) == "".join(
+            ",".join(fmt9(x) for x in row) + "\n" for row in table
+        )
 
     def test_table_rows_special_values(self):
         table = np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]])
-        assert fmt9_rows(table) == [
-            ",".join(fmt9(x) for x in row) for row in table
-        ]
-        assert fmt9_rows([[-0.0, 2.5e16, 123456789.0]]) == ["-0,2.5e+16,123456789"]
+        assert fmt9_rows(table) == "".join(
+            ",".join(fmt9(x) for x in row) + "\n" for row in table
+        )
+        assert fmt9_rows([[-0.0, 2.5e16, 123456789.0]]) == "-0,2.5e+16,123456789\n"
+
+    def test_table_rows_empty(self):
+        assert fmt9_rows(np.empty((0, 3))) == ""
+
+    @pytest.mark.parametrize("mode", ["identify", "table1", "validate"])
+    def test_json_tables_are_row_dicts(self, table1_file, mode):
+        report = run(RunConfig(mode=mode, input=str(table1_file), lambda0=0.9,
+                               eval_at_knots=True, no_timestamp=True))
+        ((name, table),) = report.tables.items()
+        records = report.to_json_dict()["tables"][name]
+        assert [list(r) for r in records] == [list(table.columns)] * len(records)
+        assert report.to_text().endswith(
+            ",".join(table.columns) + "\n" + "".join(
+                ",".join(str(r[c]) for c in table.columns) + "\n"
+                for r in records))
+        if "j" in table.columns:
+            assert [r["j"] for r in records] == list(range(1, 17))
 
     def test_csv_writers_match_scalar_rendering(self, tmp_path):
         rng = np.random.default_rng(20261018)
@@ -279,14 +351,21 @@ class TestReport:
 
 
 class TestRunModes:
-    def test_identify_on_reference_table_at_knots(self, table1_file):
+    def test_identify_on_reference_table_at_knots(self, table1_file, table1):
         cfg = RunConfig(mode="identify", input=str(table1_file), lambda0=0.9,
                         eval_at_knots=True, no_timestamp=True)
         report = run(cfg)
         assert report.result["lambda_ratio"] == "1"
         assert report.result["lambda_hat"] == "0.9"
         assert report.result["q_hat"] == "nan"
-        assert len(report.tables["samples"]) == 16
+        samples = report.tables["samples"]
+        assert samples.columns == ("j", "t", "K", "model", "weight", "residual")
+        rows = [line.split(",") for line in samples.rows.splitlines()]
+        assert len(rows) == 16
+        assert [row[:3] for row in rows] == [
+            [fmt9(j), fmt9(t), fmt9(k)]
+            for j, (t, k) in enumerate(zip(table1.times, table1.values), 1)
+        ]
 
     def test_table1_mode_flags(self):
         report = run(RunConfig(mode="table1", no_timestamp=True))
@@ -465,6 +544,48 @@ class TestCli:
         assert main(["--mode", "simulate", "--output", ""]) == 2
         assert capsys.readouterr().err.startswith("error(ValidationError):")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["identify", "table1", "validate"])
+    def test_empty_output_path(self, tmp_path, table1_file, monkeypatch,
+                               capsys, mode):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code = main(["--mode", mode, "--input", str(table1_file),
+                     "--lambda0", "0.9", "--eval-at-knots", "--no-timestamp",
+                     "--output", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error(ValidationError): --output needs a non-empty path\n")
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "simulate", "--kind", "creep", "--grid", "0:1e-300:64"],
+        ["--mode", "simulate", "--kind", "relaxation", "--grid", "0:1e-300:64"],
+        ["--mode", "identify", "--isochrones", "{iso}"],
+    ], ids=["creep", "relaxation", "isochrones"])
+    def test_degenerate_grid_is_one_error_line(self, tmp_path, capsys, args):
+        # the difference weights' denominators underflow; np.gradient would
+        # warn, then return a non-finite derivative
+        iso = tmp_path / "iso.csv"
+        iso.write_text("eps,0,1e-310,2e-310,3e-310\n"
+                       "0.5,0.5,1.0,1.5,2.0\n1.0,1.0,2.0,3.0,4.0\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([a.format(iso=iso) for a in args]
+                        + ["--output", str(out / "run")])
+        err = capsys.readouterr().err
+        spacing = "1e-310" if "--isochrones" in args else "1.59e-302"
+        assert code == 2
+        assert caught == []
+        assert err == (f"error(DomainError): grid spacing {spacing} is too "
+                       f"fine to differentiate the record: its derivative "
+                       f"is not finite\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("option, value, expected", [
         ("--grid", "0:1", "START:STOP:N"),
