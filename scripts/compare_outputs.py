@@ -9,15 +9,18 @@ Imports this checkout's ``src/viscoident``, then OTHER_CHECKOUT's, and with
 each one runs the README recipe (table1, simulate, identify) and operations
 0-2 of the ``creep_roundtrip``, ``relaxation_longrecord`` and
 ``stress_program`` benchmark workloads for seeds 1-3, taking the operations
-from this checkout's ``perfbench/workloads.py``. It hashes (SHA-256) every
-file a simulate run writes, every ``--no-timestamp`` report, text and JSON,
-and the ``repr`` of every ``resolvent_mismatch``: the stress-program
-operations and the benchmark reference gate's constant stress on 256
-points. It also hashes the ``--help`` text, for each failing call of the
-CLI and ingestion tests the exit code and the first line of stderr, and
-the validate and ``table1 --input`` reports of the 16-row fixture. It
-prints the outputs whose digests differ and exits 1 if any do, 0 if none
-do.
+from this checkout's ``perfbench/workloads.py``. Each identify call with
+an isochrone file also runs on that file alone (samples derived from the
+matrix, lambda0 0.9), and the README identify also runs on copies of its
+input files with padded fields and with CRLF line ends. It hashes
+(SHA-256) every file a simulate run writes, every ``--no-timestamp``
+report, text and JSON, and the ``repr`` of every ``resolvent_mismatch``:
+the stress-program operations and the benchmark reference gate's constant
+stress on 256 points. It also hashes the ``--help`` text, for each
+failing call of the CLI and ingestion tests the exit code and the first
+line of stderr, and the validate and ``table1 --input`` reports of the
+16-row fixture. It prints the outputs whose digests differ and exits 1 if
+any do, 0 if none do.
 """
 
 from __future__ import annotations
@@ -48,6 +51,13 @@ MALFORMED = {
     "samples-trailing-comma": ("--input", "t,K\n0,10\n1,8,\n"),
     "iso-trailing-comma": ("--isochrones", "eps,0,1\n0.5,2,1.8,\n"),
     "iso-ragged": ("--isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4\n"),
+    "iso-nonpositive": ("--isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4,0\n"),
+}
+# rewritings of an input file that ingestion must accept as the same data
+REWRITES = {
+    "padded": lambda text: "".join(
+        " " + " ,\t".join(line.split(",")) + "\t\n" for line in text.splitlines()),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
 }
 README_SIMULATE = [
     "--mode", "simulate", "--kind", "creep", "--alpha", "0.5", "--beta", "0",
@@ -98,10 +108,34 @@ def sha256(data: bytes) -> str:
 
 
 def digest_reports(wl, cli, argv, label: str, digests: dict) -> None:
-    """Digest the report of ``argv`` as text and as ``--json``."""
+    """Digest the report of ``argv`` as text and as ``--json``, or the
+    failure of the call."""
     for suffix, extra in ((".txt", []), (".json", ["--json"])):
-        report = wl.run_cli(cli, argv + extra)
+        try:
+            report = wl.run_cli(cli, argv + extra)
+        except wl.OpFailed as exc:
+            report = f"failure: {exc}"
         digests[f"{label}/{argv[1]}{suffix}"] = sha256(report.encode())
+
+
+def isochrones_only(argv: list[str]) -> list[str]:
+    """An identify call without its sample files, so that its samples are
+    derived from the isochrone matrix. It sets lambda0 to 0.9: on segments
+    fitted to the samples, lambda0 = 1 fits the terminal sample exactly."""
+    argv = list(argv)
+    for option in ("--input", "--model-samples", "--lambda0"):
+        i = argv.index(option)
+        del argv[i:i + 2]
+    return argv + ["--lambda0", "0.9"]
+
+
+def digest_identify(wl, cli, argv, label: str, digests: dict) -> None:
+    """Digest the reports of an identify call and, when it reads an
+    isochrone file, of its isochrones-only form."""
+    digest_reports(wl, cli, argv, label, digests)
+    if "--isochrones" in argv:
+        digest_reports(wl, cli, isochrones_only(argv),
+                       label + "/isochrones-only", digests)
 
 
 def digest_files(out_dir: Path, label: str, digests: dict) -> None:
@@ -212,13 +246,22 @@ def collect(vi, wl) -> dict:
                        "readme", digests)
         wl.run_cli(vi.cli, README_SIMULATE + ["--output", prefix])
         digest_files(readme, "readme", digests)
-        digest_reports(wl, vi.cli, [
-            "--mode", "identify", "--input", prefix + "_kernel_samples.csv",
-            "--model-samples", prefix + "_model_samples.csv",
-            "--isochrones", prefix + "_isochrones.csv",
-            "--lambda0", "1", "--q0", "1", "--sigma-over-H", "1",
-            "--eval-at-knots", "--no-timestamp",
-        ], "readme", digests)
+        files = ("_kernel_samples.csv", "_model_samples.csv",
+                 "_isochrones.csv")
+        for variant, rewrite in {"readme": None, **REWRITES}.items():
+            if rewrite:
+                for name in files:
+                    text = Path(prefix + name).read_text()
+                    Path(prefix + f"_{variant}" + name).write_text(
+                        rewrite(text), newline="")
+            base = prefix + (f"_{variant}" if rewrite else "")
+            digest_identify(wl, vi.cli, [
+                "--mode", "identify", "--input", base + files[0],
+                "--model-samples", base + files[1],
+                "--isochrones", base + files[2],
+                "--lambda0", "1", "--q0", "1", "--sigma-over-H", "1",
+                "--eval-at-knots", "--no-timestamp",
+            ], variant, digests)
         for name, seed in itertools.product(WORKLOAD_NAMES, SEEDS):
             workload = wl.WORKLOADS[name]
             for op in itertools.islice(workload.ops(seed), OPS_PER_SEED):
@@ -235,7 +278,7 @@ def collect(vi, wl) -> dict:
                 digest_files(out_dir, label, digests)
                 for argv in recorder.calls:
                     if argv[1] == "identify":
-                        digest_reports(wl, vi.cli, argv, label, digests)
+                        digest_identify(wl, vi.cli, argv, label, digests)
     digest_mismatches(vi, wl, digests)
     return digests
 

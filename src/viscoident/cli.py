@@ -18,12 +18,14 @@ from .pipeline import RUNNERS, RunConfig, run, write_output
 
 def _parse_m_range(text: str) -> tuple:
     try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(p) for p in text.split(","))
+        if ":" not in text:
+            return tuple(int(p) for p in text.split(","))
+        lo, hi = map(int, text.split(":"))
+        if lo <= hi:  # an empty range is as malformed as a non-integer
+            return tuple(range(lo, hi + 1))
     except ValueError:
-        raise _format_error("LO:HI or M1,M2,...", text) from None
+        pass
+    raise _format_error("LO:HI or M1,M2,...", text)
 
 
 def _parse_grid(text: str) -> tuple:

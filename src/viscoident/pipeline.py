@@ -17,15 +17,14 @@ Reports are deterministic: every number is printed with 9 significant
 digits and the timestamp can be suppressed. ``fmt9_rows`` renders a numeric
 table (a CSV file, the report's sample table) with one format call per
 table; ``fmt9`` renders scalars (result fields, the config echo, table1
-rows). A report keeps each table as its rendered rows, and an input file of
-kernel samples is parsed with one call over its whole body; its rows are
-walked only to name the first malformed one.
+rows). A report keeps each table as its rendered rows, and the body of each
+input file is parsed with one numpy reader call; its rows are walked only
+to name the first malformed one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -201,23 +200,21 @@ def write_output(path: str | Path, text: str) -> None:
 
 
 def _parse_table(rows: list[str]) -> np.ndarray | None:
-    """Comma-separated rows as one 2-d float array, parsed in one pass;
-    None when the rows differ in width or a field is not a number."""
-    commas = set(map(str.count, rows, itertools.repeat(",")))
-    if len(commas) != 1:
-        return None
-    width = commas.pop() + 1
-    try:  # float() ignores the whitespace around each field
-        flat = np.fromiter(map(float, ",".join(rows).split(",")), float,
-                           count=len(rows) * width)
+    """Comma-separated rows as one 2-d float array, parsed in one numpy C
+    reader call; None when the rows differ in width or a field is not a
+    number. Whitespace around a field is ignored; ``#`` is no comment."""
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    return flat.reshape(len(rows), width)
 
 
-def _sample_row_error(lines: list[str], header: bool) -> ParseError:
-    """The error of the first malformed data row; rows count physical lines."""
-    width = None
+def _row_error(lines: list[str], header: bool,
+               width: int | None = None) -> ParseError:
+    """The error of the first malformed data row; rows count physical lines.
+    An isochrone body passes its header's ``width``; a sample body's first
+    data row sets the width, which must be 2 (t, K) or 3 (j, t, K)."""
+    ragged = width is not None
     for rownum, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
@@ -225,19 +222,19 @@ def _sample_row_error(lines: list[str], header: bool) -> ParseError:
         if header:
             header = False
             continue
+        fields = raw.count(",") + 1
+        if ragged and fields != width:
+            return ParseError(f"ragged row: {fields} fields where {width} expected",
+                              row=rownum)
         if _parse_table([raw]) is None:
             return ParseError(f"non-numeric field in {raw!r}", row=rownum)
-        fields = raw.count(",") + 1
-        if fields not in (2, 3):
-            return ParseError(
-                f"expected two columns (t, K), got {fields}", row=rownum
-            )
+        if width is None and fields not in (2, 3):
+            return ParseError(f"expected two columns (t, K), got {fields}",
+                              row=rownum)
         width = width or fields
         if fields != width:
-            return ParseError(
-                f"{fields} fields where the first data row has {width}",
-                row=rownum,
-            )
+            return ParseError(f"{fields} fields where the first data row has {width}",
+                              row=rownum)
     raise AssertionError("no malformed row in a table that failed to parse")
 
 
@@ -258,7 +255,7 @@ def ingest_kernel_samples(path: str | Path) -> KernelSamples:
         raise ParseError(f"{path}: file holds no data rows")
     table = _parse_table(rows)
     if table is None or table.shape[1] not in (2, 3):  # 3: (j, t, K)
-        raise _sample_row_error(lines, header)
+        raise _row_error(lines, header)
     arr_t, arr_v = table[:, -2].copy(), table[:, -1].copy()
     if not np.all(np.isfinite(arr_t)) or not np.all(np.isfinite(arr_v)):
         bad = int(np.nonzero(~(np.isfinite(arr_t) & np.isfinite(arr_v)))[0][0])
@@ -276,34 +273,24 @@ def ingest_kernel_samples(path: str | Path) -> KernelSamples:
 def ingest_isochrones(path: str | Path) -> IsochroneDataset:
     """Read an isochrone matrix: header row of times, strain-level rows."""
     path = Path(path)
-    rows = [r for r in _read_input(path).splitlines() if r.strip()]
+    lines = _read_input(path).splitlines()
+    rows = list(filter(str.strip, lines))
     if len(rows) < 2:
         raise ParseError(f"{path}: need a time header plus strain rows")
-    head = rows[0].split(",")
-    try:  # float() ignores the whitespace around each field
-        times = list(map(float, head[1:]))
-    except ValueError:
-        raise ParseError("time header holds a non-numeric field", row=1)
-    strains, matrix = [], []
-    width = len(head)
-    for i, raw in enumerate(rows[1:], start=2):
-        parts = raw.split(",")
-        if len(parts) != width:
-            raise ParseError(
-                f"ragged row: {len(parts)} fields where {width} expected",
-                row=i,
-            )
-        try:
-            rec = list(map(float, parts))
-        except ValueError:
-            raise ParseError(f"non-numeric field in {raw!r}", row=i)
-        strains.append(rec[0])
-        matrix.append(rec[1:])
-    m = np.array(matrix)
+    _, comma, times = rows[0].partition(",")
+    head = _parse_table(["0" + comma + times])  # the label parsed as a 0
+    if head is None:
+        raise ParseError("time header holds a non-numeric field",
+                         row=lines.index(rows[0]) + 1)
+    table = _parse_table(rows[1:])
+    if table is None or table.shape[1] != head.shape[1]:
+        raise _row_error(lines, header=True, width=head.shape[1])
+    m = table[:, 1:].copy()
     if np.any(m <= 0.0):
         bad = int(np.nonzero(np.any(m <= 0.0, axis=1))[0][0])
-        raise ValidationError("nonpositive isochrone value", row=bad + 2)
-    return IsochroneDataset(np.array(strains), np.array(times), m)
+        rownums = [n for n, raw in enumerate(lines, start=1) if raw.strip()]
+        raise ValidationError("nonpositive isochrone value", row=rownums[bad + 1])
+    return IsochroneDataset(table[:, 0].copy(), head[0, 1:], m)
 
 
 def write_samples_csv(path: str | Path, times, values,

@@ -265,20 +265,28 @@ def _lambert_w0(z: np.ndarray) -> np.ndarray:
     function", 1996), started from the branch-point series below z = 0.5
     and from the log asymptote above. It stops once every step is at
     rounding level, scaled by the condition number 1/(1 + W) that grows
-    toward the branch point.
+    toward the branch point. A step writes into ``w`` and three work arrays,
+    ``a``, ``b`` and ``step``; it allocates only its convergence test.
     """
     p = np.sqrt(np.maximum(2.0 * (math.e * np.minimum(z, 0.5) + 1.0), 0.0))
     w = p * (1.0 - p / 3.0 + 11.0 / 72.0 * p * p) - 1.0
-    del p  # the iteration keeps as few full-size arrays alive as it can
     large = z >= 0.5
     lz = np.log(np.maximum(z[large], math.e))
     w[large] = lz - np.log(lz) + np.log(lz) / lz
+    a, b, step = p, np.empty_like(w), np.empty_like(w)
     for _ in range(W0_MAX_ITER):
-        step = (w - z * np.exp(-w)) / (w + 1.0)  # Newton step
-        step /= 1.0 - 0.5 * (w + 2.0) / (w + 1.0) * step
+        # step = (w - z*exp(-w)) / (w + 1), the Newton step
+        np.multiply(z, np.exp(np.negative(w, out=a), out=a), out=a)
+        np.divide(np.subtract(w, a, out=a), np.add(w, 1.0, out=b), out=step)
+        # step /= 1 - 0.5*(w + 2)/(w + 1)*step, Halley's correction
+        np.divide(np.multiply(0.5, np.add(w, 2.0, out=a), out=a), b, out=a)
+        step /= np.subtract(1.0, np.multiply(a, step, out=a), out=a)
         w -= step
-        cond = 1.0 + 1.0 / np.abs(w + 1.0)
-        if np.all(np.abs(step) <= W0_STEP_TOL * cond * np.abs(w)):
+        # converged where |step| <= W0_STEP_TOL*(1 + 1/|w + 1|)*|w|
+        np.divide(1.0, np.abs(np.add(w, 1.0, out=a), out=a), out=a)
+        np.multiply(W0_STEP_TOL, np.add(1.0, a, out=a), out=a)
+        a *= np.abs(w, out=b)
+        if np.all(np.abs(step, out=b) <= a):
             return w
     raise ConvergenceError(
         "Lambert W iteration for the exponent roots did not converge",
@@ -288,22 +296,24 @@ def _lambert_w0(z: np.ndarray) -> np.ndarray:
 
 def _exponent_roots(eps: np.ndarray, etas: np.ndarray) -> np.ndarray:
     """Smaller positive root of eps_i**q = eta_j*q in row i, column j; NaN if none."""
-    shape = (len(eps), len(etas))
-    log_eps = np.broadcast_to(np.log(eps)[:, None], shape)
-    etas = np.broadcast_to(etas, shape)
+    log_eps = np.log(eps)[:, None]
     z = -log_eps / etas
-    q = np.full(shape, np.nan)
-    np.divide(1.0, etas, out=q, where=log_eps == 0.0)
     # The certificate holds only where ln(eta/ln eps) lies within 2e-10 of
     # 1, that is within 2e-10 (relative) of the branch point z = -1/e.
     near = (np.abs(math.e * z + 1.0) <= 1e-6) & (log_eps > 0.0)
+    solve = (z >= -1.0 / math.e) & (log_eps != 0.0)
+    if not near.any() and solve.all():  # no pair to mask: W0 on the whole grid
+        return _lambert_w0(z) / -log_eps
+    log_eps, etas = np.broadcast_arrays(log_eps, etas)
+    q = np.full(z.shape, np.nan)
+    np.divide(1.0, etas, out=q, where=log_eps == 0.0)
     L, et = log_eps[near], etas[near]
     q_min = np.log(et / L) / L
-    f_min = np.broadcast_to(eps[:, None], shape)[near] ** q_min - et * q_min
+    f_min = np.broadcast_to(eps[:, None], z.shape)[near] ** q_min - et * q_min
     tangent = np.abs(f_min) <= Q_RESIDUAL_RTOL * np.maximum(1.0, et * q_min)
     q[near] = np.where(tangent, q_min, np.nan)
     near[near] = tangent
-    solve = (z >= -1.0 / math.e) & (log_eps != 0.0) & ~near
+    solve &= ~near
     z = z[solve]  # frees the full grid before the iteration
     q[solve] = -_lambert_w0(z) / log_eps[solve]
     return q

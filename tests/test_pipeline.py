@@ -21,6 +21,7 @@ from viscoident.pipeline import (
     fmt9_rows,
     ingest_isochrones,
     ingest_kernel_samples,
+    _parse_table,
     run,
     write_isochrones_csv,
     write_samples_csv,
@@ -48,6 +49,8 @@ EXIT_CODES = {
 }
 
 
+# one text that both ingesters read: a header, then (j, t, K) or strain rows
+BLANK_LINES_TEXT = "eps,0,1\n\n0.5,2,1.8\n\n1.0,4,x\n"
 # (ingester, file text, error class, row, message); "{path}" in a message
 # stands for the file, and a None error class means the text is accepted as
 # the same file without blank lines and carriage returns. Rows count
@@ -77,6 +80,26 @@ INGEST_CASES = {
                             "3 fields where the first data row has 2"),
     "samples-mixed-width-index": ("samples", "j,t,K\n1,0,10\n1,8\n", ParseError,
                                   3, "2 fields where the first data row has 3"),
+    "samples-blank-lines-index": ("samples", BLANK_LINES_TEXT, ParseError, 5,
+                                  "non-numeric field in '1.0,4,x'"),
+    "iso-blank-lines-non-numeric": ("isochrones", BLANK_LINES_TEXT, ParseError,
+                                    5, "non-numeric field in '1.0,4,x'"),
+    "iso-header-after-blank": ("isochrones", "\neps,0,x\n0.5,2,1.8\n",
+                               ParseError, 2,
+                               "time header holds a non-numeric field"),
+    "iso-nonpositive-after-blank": ("isochrones", "eps,0,1\n\n0.5,2,0\n",
+                                    ValidationError, 3,
+                                    "nonpositive isochrone value"),
+}
+
+# data rows that both ingesters reject, as (sample row, isochrone row)
+REJECTED_ROWS = {
+    "comment": ("1,8 # note", "1.0,4,3.6 # note"),
+    "quoted": ('1,"8"', '1.0,"4",3.6'),
+    "underscore": ("1_000,8", "1_000,4,3.6"),
+    "empty-field": ("1,", "1.0,,3.6"),
+    "tab-separated": ("1\t8", "1.0\t4\t3.6"),
+    "non-ascii-digit": ("1,\u0668", "1.0,4,\u0668"),
 }
 
 
@@ -89,6 +112,28 @@ def float_tables(draw):
         max_size=6,
     ))
     return np.array(rows, dtype=float).reshape(len(rows), ncols)
+
+
+@st.composite
+def numeral_tables(draw):
+    """File text of ``%.9g`` and ``repr`` numerals with spaces, tabs and
+    non-breaking spaces around the fields, LF or CRLF line ends and blank
+    lines between the rows."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    field = st.tuples(
+        st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+        st.sampled_from(["%.9g".__mod__, repr]),
+        st.text(" \t\xa0", max_size=2), st.text(" \t\xa0", max_size=2),
+    )
+    rows = draw(st.lists(st.lists(field, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=6))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.text(" \t", max_size=2), max_size=2))
+        lines.append(",".join(pad + render(x) + trail
+                              for x, render, pad, trail in row))
+    return end.join(lines) + end
 
 
 @pytest.fixture
@@ -117,6 +162,33 @@ def test_ingestion_error_paths(tmp_path, case):
     assert err.value.row == row
     prefix = "" if row is None else f"row {row}: "
     assert str(err.value) == prefix + message.format(path=path)
+
+
+@pytest.mark.parametrize("ingester", ["samples", "isochrones"])
+@pytest.mark.parametrize("case", REJECTED_ROWS)
+def test_rejected_rows(tmp_path, ingester, case):
+    sample_row, iso_row = REJECTED_ROWS[case]
+    path = tmp_path / "input.csv"
+    if ingester == "samples":
+        path.write_text(f"t,K\n0,10\n{sample_row}\n")
+        ingest = ingest_kernel_samples
+    else:
+        path.write_text(f"eps,0,1\n0.5,2,1.8\n{iso_row}\n")
+        ingest = ingest_isochrones
+    with pytest.raises(ParseError) as err:
+        ingest(path)
+    assert err.value.row == 3
+
+
+@given(numeral_tables())
+def test_parse_table_matches_float(text):
+    # the one numpy reader call against Python's float() field by field,
+    # on the rows the ingesters hand it
+    rows = list(filter(str.strip, text.splitlines()))
+    want = np.array([[float(f) for f in row.split(",")] for row in rows])
+    got = _parse_table(rows)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestIngestSamples:
@@ -600,6 +672,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"argument {option}: expected {expected}, got '{value}'" in err
         assert "_parse_" not in err
+
+    @pytest.mark.parametrize("mode", ["identify", "simulate", "table1",
+                                      "validate"])
+    def test_empty_m_range_is_malformed(self, capsys, mode):
+        with pytest.raises(SystemExit) as exc:
+            main(["--mode", mode, "--m-range", "5:2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "viscoident: error: argument --m-range: expected LO:HI or "
+            "M1,M2,..., got '5:2'"]
 
     @pytest.mark.parametrize("args, code, error", [
         (["--mode", "simulate", "--beta", "1", "--grid", "0:50:64"], 3,

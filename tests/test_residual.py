@@ -417,6 +417,53 @@ class TestExponentRoots:
         assert np.all(np.abs(w - want) <= 1e-15 * np.abs(want) / np.abs(1.0 + want)
                       + 1e-15 * np.abs(want))
 
+    def test_masked_pairs_leave_the_others_bitwise(self):
+        # W0 stops when every step it is given is at rounding level, so a
+        # pair without a root or at tangency must not reach it: appending
+        # such pairs must not change the other roots by a single bit
+        rng = np.random.default_rng(11)
+        etas = np.sort(rng.uniform(0.5, 3.0, 40))
+        eps = np.sort(rng.uniform(0.2, 1.15, 30))  # every z > -1/e
+        base = _exponent_roots(eps, etas)
+        assert not np.isnan(base).any()
+        # ln(eps) = eta_max/e: tangent at the last knot and no root at the
+        # others; the last level has no root at any knot
+        more = np.concatenate([eps, [math.exp(etas[-1] / math.e),
+                                     math.exp(10.0 * etas[-1])]])
+        got = _exponent_roots(more, etas)
+        assert np.array_equal(got[:-2].view(np.uint64), base.view(np.uint64))
+        assert np.isnan(got[-2, :-1]).all() and np.isnan(got[-1]).all()
+        assert got[-2, -1] == pytest.approx(math.e / etas[-1], rel=1e-9)
+
+    def test_lambert_w0_matches_allocating_iteration(self):
+        def allocating_w0(z):
+            # the Halley loop as it read with one new array per operation
+            p = np.sqrt(np.maximum(2.0 * (math.e * np.minimum(z, 0.5) + 1.0), 0.0))
+            w = p * (1.0 - p / 3.0 + 11.0 / 72.0 * p * p) - 1.0
+            large = z >= 0.5
+            lz = np.log(np.maximum(z[large], math.e))
+            w[large] = lz - np.log(lz) + np.log(lz) / lz
+            while True:
+                step = (w - z * np.exp(-w)) / (w + 1.0)
+                step /= 1.0 - 0.5 * (w + 2.0) / (w + 1.0) * step
+                w -= step
+                cond = 1.0 + 1.0 / np.abs(w + 1.0)
+                if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps
+                          * cond * np.abs(w)):
+                    return w
+
+        rng = np.random.default_rng(5)
+        z = np.concatenate([
+            rng.uniform(-1.0 / math.e, 1e3, 4000),
+            -1.0 / math.e + np.geomspace(1e-14, 1e-2, 200),
+            rng.uniform(-1.0 / math.e, 1.0, 4000),
+        ])
+        z = z[z > -1.0 / math.e]
+        want = allocating_w0(z)
+        for grid in (z, z.reshape(-1, 2)):
+            assert np.array_equal(_lambert_w0(grid).ravel().view(np.uint64),
+                                  want.view(np.uint64))
+
     def test_pilot_failure_set_matches_scalar_bisection(self):
         # scripts/roundtrip_pilot.py at horizon 0.05: the per-knot scheme's
         # bias leaves 168 pairs without a root
