@@ -16,11 +16,12 @@ input files with padded fields and with CRLF line ends. It hashes
 (SHA-256) every file a simulate run writes, every ``--no-timestamp``
 report, text and JSON, and the ``repr`` of every ``resolvent_mismatch``:
 the stress-program operations and the benchmark reference gate's constant
-stress on 256 points. It also hashes the ``--help`` text, for each
-failing call of the CLI and ingestion tests the exit code and the first
-line of stderr, and the validate and ``table1 --input`` reports of the
-16-row fixture. It prints the outputs whose digests differ and exits 1 if
-any do, 0 if none do.
+stress on 256 points. It also hashes the ``--help`` text, the exit code
+and the first line of stderr of each failing call of the CLI and ingestion
+tests and of the estimator's failure paths (a zero residual, a zero
+terminal residual, an order below 2), and the validate and ``table1
+--input`` reports of the 16-row fixture. It prints the outputs whose
+digests differ and exits 1 if any do, 0 if none do.
 """
 
 from __future__ import annotations
@@ -165,6 +166,11 @@ def failing_calls(vi, data: Path) -> dict:
         "negative": [(0, 10), (1, -3), (2, 5)],
         "rows20": [(10.0 * j, 1000.0 / (1.0 + j)) for j in range(20)],
         "rows10": [(10.0 * j, 1000.0 / (1.0 + j)) for j in range(10)],
+        # model samples against "steps" at the knots and lambda0 1: one zero
+        # residual (a pole), or nonzero residuals with a zero terminal one
+        "steps": [(1, 10), (2, 8), (3, 7), (4, 6)],
+        "pole-model": [(1, 10), (2, 9), (3, 8), (4, 7)],
+        "terminal-model": [(1, 9), (2, 9), (3, 8), (4, 6)],
     }
     for name, rows in inputs.items():
         body = "".join(f"{float(t)!r},{float(k)!r}\n" for t, k in rows)
@@ -180,7 +186,12 @@ def failing_calls(vi, data: Path) -> dict:
                       "--lambda0", "1.0", "--eval-at-knots"],
         "no-root": ["--mode", "identify"] + knots
         + ["--sigma-over-H", "1e-4", "--strain-levels", "1e6"],
+        "m-range-1": ["--mode", "identify"] + knots + ["--m-range", "1:3"],
     }
+    for model in ("pole", "terminal"):
+        calls[f"{model}-model"] = [
+            "--mode", "identify", "--input", path["steps"], "--model-samples",
+            path[f"{model}-model"], "--lambda0", "1", "--eval-at-knots"]
     for kind in ("creep", "relaxation"):
         calls[f"overflow-{kind}"] = [
             "--mode", "simulate", "--kind", kind, "--beta", "1",

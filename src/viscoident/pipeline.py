@@ -209,19 +209,19 @@ def _parse_table(rows: list[str]) -> np.ndarray | None:
         return None
 
 
+def _line_numbers(lines: list[str]) -> list[int]:
+    """The 1-based physical line number of each non-blank line."""
+    return [n for n, raw in enumerate(lines, start=1) if raw.strip()]
+
+
 def _row_error(lines: list[str], header: bool,
                width: int | None = None) -> ParseError:
     """The error of the first malformed data row; rows count physical lines.
     An isochrone body passes its header's ``width``; a sample body's first
     data row sets the width, which must be 2 (t, K) or 3 (j, t, K)."""
     ragged = width is not None
-    for rownum, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        if header:
-            header = False
-            continue
+    for rownum in _line_numbers(lines)[header:]:
+        raw = lines[rownum - 1].strip()
         fields = raw.count(",") + 1
         if ragged and fields != width:
             return ParseError(f"ragged row: {fields} fields where {width} expected",
@@ -259,13 +259,14 @@ def ingest_kernel_samples(path: str | Path) -> KernelSamples:
     arr_t, arr_v = table[:, -2].copy(), table[:, -1].copy()
     if not np.all(np.isfinite(arr_t)) or not np.all(np.isfinite(arr_v)):
         bad = int(np.nonzero(~(np.isfinite(arr_t) & np.isfinite(arr_v)))[0][0])
-        raise ValidationError("non-finite sample", row=bad + 1)
+        raise ValidationError("non-finite sample",
+                              row=_line_numbers(lines)[header + bad])
     if len(arr_t) > 1 and not np.all(np.diff(arr_t) > 0.0):
         bad = int(np.nonzero(np.diff(arr_t) <= 0.0)[0][0])
         raise ValidationError(
             f"non-increasing times: t[{bad + 1}] = {arr_t[bad]} then "
             f"{arr_t[bad + 1]}",
-            row=bad + 2,
+            row=_line_numbers(lines)[header + bad + 1],
         )
     return KernelSamples(arr_t, arr_v)
 
@@ -288,8 +289,8 @@ def ingest_isochrones(path: str | Path) -> IsochroneDataset:
     m = table[:, 1:].copy()
     if np.any(m <= 0.0):
         bad = int(np.nonzero(np.any(m <= 0.0, axis=1))[0][0])
-        rownums = [n for n, raw in enumerate(lines, start=1) if raw.strip()]
-        raise ValidationError("nonpositive isochrone value", row=rownums[bad + 1])
+        raise ValidationError("nonpositive isochrone value",
+                              row=_line_numbers(lines)[bad + 1])
     return IsochroneDataset(table[:, 0].copy(), head[0, 1:], m)
 
 
@@ -535,8 +536,6 @@ def _run_validate(cfg: RunConfig) -> Report:
     def check(name, ok, detail=""):
         checks.append((name, "pass" if ok else "FAIL", detail))
 
-    check("strictly-increasing-times", bool(np.all(np.diff(samples.times) > 0)))
-    check("finite-values", bool(np.all(np.isfinite(samples.values))))
     check("positive-values", bool(np.all(samples.values > 0)),
           "kernel data is expected positive")
     spline = fit_kernel_spline(samples)

@@ -31,6 +31,9 @@ Evaluation times: each sample term j is evaluated at the midpoint of
 at the knots, where the scale formula is identically 1 on a self-fitted
 spline.
 
+The weights, delta at every m and the scale share one pass that evaluates
+the spline once at the evaluation times and once at the terminal sample.
+
 When the segments are fitted to the samples themselves the scale estimate
 is a multiplicative correction to lambda0; when they come from an
 independent unit-normalized kernel model the estimate IS the intensity.
@@ -115,10 +118,12 @@ def segment_eval_times(samples: KernelSamples, at_knots: bool = False) -> np.nda
     return mids
 
 
-def _model(samples: KernelSamples, segments: Spline, t_eval,
-           weights=None) -> np.ndarray:
-    """The spline at ``t_eval``, after checking that the segments, the
-    evaluation times and any weights have one entry per sample."""
+def _stage1(samples: KernelSamples, segments: Spline, lambda0: float, t_eval,
+            weights=None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one spline pass: model values K_j(t_eval_j), residuals
+    r_j = K(t_j) - lambda0*K_j(t_eval_j) and the terminal residual r_n (the
+    last segment at t_star), checking one segment, evaluation time and any
+    weight per sample."""
     n = len(samples)
     if len(segments) != n:
         raise DomainError(f"need one segment per sample ({n}), got {len(segments)}")
@@ -126,28 +131,62 @@ def _model(samples: KernelSamples, segments: Spline, t_eval,
         if arg is not None and np.shape(arg) != (n,):
             raise DomainError(f"need one {name} per sample ({n}), "
                               f"got shape {np.shape(arg)}")
-    return segments.value(t_eval)
+    model = segments.value(t_eval)
+    r_n = float(samples.values[-1] - lambda0 * segments[-1].value(samples.t_star))
+    return model, samples.values - lambda0 * model, r_n
 
 
-def _residuals(samples: KernelSamples, segments: Spline,
-               cfg: WeightConfig, t_eval) -> tuple[np.ndarray, np.ndarray]:
-    model = _model(samples, segments, t_eval)
-    return samples.values - cfg.lambda0 * model, model
-
-
-def _terminal_residual(samples: KernelSamples, segments: Spline,
-                       cfg: WeightConfig) -> float:
-    """Normalizing residual at the terminal time t_star."""
-    return float(samples.values[-1] - cfg.lambda0 * segments[-1].value(samples.t_star))
-
-
-def _moment_weights(resid: np.ndarray, denom: float, m: int) -> np.ndarray:
-    """w_j = 1/(1 + |r_j / denom|**m) for the terminal residual ``denom``."""
-    if denom == 0.0:
+def _moment_weights(resid: np.ndarray, r_n: float, m: int) -> np.ndarray:
+    """w_j = 1/(1 + |r_j / r_n|**m) for the terminal residual ``r_n``."""
+    if r_n == 0.0:
         raise DegenerateNormalizationError(
             "lambda0 fits the terminal sample exactly; perturb lambda0"
         )
-    return 1.0 / (1.0 + np.abs(resid / denom) ** m)
+    return 1.0 / (1.0 + np.abs(resid / r_n) ** m)
+
+
+def _delta(resid: np.ndarray, r_n: float, m: int) -> float:
+    """sum_j (w_j * r_j)**2 at order m; 0 on an exact fit (every r_j zero)."""
+    if np.all(resid == 0.0):
+        return 0.0
+    return float(np.sum((_moment_weights(resid, r_n, m) * resid) ** 2))
+
+
+def _m_scan(samples: KernelSamples, segments: Spline, cfg: WeightConfig, t_eval,
+            m_range) -> tuple[np.ndarray, np.ndarray, float, int | None, float]:
+    """The pass and the m-scan over it: (model, residuals, r_n, m, delta), m
+    the first order of least delta, or None (delta inf) if none is finite."""
+    orders = [replace(cfg, m=m).m for m in sorted(m_range)]  # validates each m
+    if not orders:
+        raise DomainError("m_range must be nonempty")
+    model, resid, r_n = _stage1(samples, segments, cfg.lambda0, t_eval)
+    best_m, best_delta = None, math.inf
+    for m in orders:
+        d = _delta(resid, r_n, m)
+        if d < best_delta:
+            best_m, best_delta = m, d
+    return model, resid, r_n, best_m, best_delta
+
+
+def _scale(values: np.ndarray, model: np.ndarray, w2) -> float:
+    """The weighted least-squares scale sum(values*model*w2)/sum(model**2*w2)."""
+    denom = float(np.sum(model ** 2 * w2))
+    if denom == 0.0:
+        raise DegenerateDesignError(
+            "all weighted model values vanish; scale is undefined"
+        )
+    return float(np.sum(values * model * w2)) / denom
+
+
+def _gamma_scale(values: np.ndarray, model: np.ndarray, resid: np.ndarray) -> float:
+    """``_scale`` with the reciprocal-residual weights 1/r_j**2."""
+    zero = np.nonzero(resid == 0.0)[0]
+    if zero.size:
+        raise PoleError(
+            "residual is exactly zero; perturb lambda0 or drop the sample",
+            sample_index=int(zero[0]) + 1,
+        )
+    return _scale(values, model, 1.0 / np.abs(resid) ** 2)
 
 
 def stage1_weights(samples: KernelSamples, segments: Spline,
@@ -157,8 +196,8 @@ def stage1_weights(samples: KernelSamples, segments: Spline,
     w_j equals 1 exactly when the sample residual vanishes and falls toward
     0 as the model value (hence the residual) grows without bound.
     """
-    resid, _ = _residuals(samples, segments, cfg, t_eval)
-    return _moment_weights(resid, _terminal_residual(samples, segments, cfg), cfg.m)
+    _, resid, r_n = _stage1(samples, segments, cfg.lambda0, t_eval)
+    return _moment_weights(resid, r_n, cfg.m)
 
 
 def residual_delta(samples: KernelSamples, segments: Spline,
@@ -168,11 +207,8 @@ def residual_delta(samples: KernelSamples, segments: Spline,
     An exact fit (every residual zero) short-circuits to 0 even though the
     weight normalization is then degenerate.
     """
-    resid, _ = _residuals(samples, segments, cfg, t_eval)
-    if np.all(resid == 0.0):
-        return 0.0
-    w = _moment_weights(resid, _terminal_residual(samples, segments, cfg), cfg.m)
-    return float(np.sum((w * resid) ** 2))
+    _, resid, r_n = _stage1(samples, segments, cfg.lambda0, t_eval)
+    return _delta(resid, r_n, cfg.m)
 
 
 def select_moment_order(samples: KernelSamples, segments: Spline,
@@ -182,39 +218,21 @@ def select_moment_order(samples: KernelSamples, segments: Spline,
 
     The residuals are computed once; each order m only reweights them.
     """
-    orders = [replace(cfg, m=m).m for m in sorted(m_range)]  # validates each m
-    if not orders:
-        raise DomainError("m_range must be nonempty")
-    resid, _ = _residuals(samples, segments, cfg, t_eval)
-    if np.all(resid == 0.0):
-        return orders[0]  # an exact fit has delta 0 at every m
-    denom = _terminal_residual(samples, segments, cfg)
-    best_m, best_delta = None, math.inf
-    for m in orders:
-        d = float(np.sum((_moment_weights(resid, denom, m) * resid) ** 2))
-        if d < best_delta:
-            best_m, best_delta = m, d
-    return best_m
+    return _m_scan(samples, segments, cfg, t_eval, m_range)[3]
 
 
 def omega(samples: KernelSamples, segments: Spline,
           weights: np.ndarray, lam: float, t_eval) -> float:
     """The residual functional sum_j {w_j*[K(t_j) - lam*K_j(t_eval_j)]}**2."""
-    model = _model(samples, segments, t_eval, weights)
-    return float(np.sum((weights * (samples.values - lam * model)) ** 2))
+    _, resid, _ = _stage1(samples, segments, lam, t_eval, weights)
+    return float(np.sum((weights * resid) ** 2))
 
 
 def lambda_closed_form(samples: KernelSamples, segments: Spline,
                        weights: np.ndarray, t_eval) -> float:
     """Minimizer of the quadratic lam -> omega(lam) for fixed weights."""
-    model = _model(samples, segments, t_eval, weights)
-    w2 = np.asarray(weights, dtype=float) ** 2
-    denom = float(np.sum(w2 * model ** 2))
-    if denom == 0.0:
-        raise DegenerateDesignError(
-            "all weighted model values vanish; scale is undefined"
-        )
-    return float(np.sum(w2 * samples.values * model)) / denom
+    model, _, _ = _stage1(samples, segments, 1.0, t_eval, weights)  # any lambda0 does
+    return _scale(samples.values, model, np.asarray(weights, dtype=float) ** 2)
 
 
 def lambda_gamma_form(samples: KernelSamples, segments: Spline,
@@ -227,20 +245,8 @@ def lambda_gamma_form(samples: KernelSamples, segments: Spline,
     spline every term ratio is K(t_j)/K(t_j), hence the value is
     identically 1.
     """
-    resid, model = _residuals(samples, segments, cfg, t_eval)
-    zero = np.nonzero(resid == 0.0)[0]
-    if zero.size:
-        raise PoleError(
-            "residual is exactly zero; perturb lambda0 or drop the sample",
-            sample_index=int(zero[0]) + 1,
-        )
-    inv = 1.0 / np.abs(resid) ** 2
-    denom = float(np.sum(model ** 2 * inv))
-    if denom == 0.0:
-        raise DegenerateDesignError(
-            "all weighted model values vanish; scale is undefined"
-        )
-    return float(np.sum(samples.values * model * inv)) / denom
+    model, resid, _ = _stage1(samples, segments, cfg.lambda0, t_eval)
+    return _gamma_scale(samples.values, model, resid)
 
 
 def eta(spline: Spline, sigma: float, pl: PowerLaw, lambda_hat: float):
@@ -363,19 +369,12 @@ def identify(samples: KernelSamples, segments: Spline,
             raise DomainError(f"strain levels must be finite and > 0, got {bad[0]}")
 
     t_eval = segment_eval_times(samples, at_knots=at_knots)
-    m_sel = select_moment_order(samples, segments, cfg, t_eval, m_range)
-    cfg_m = replace(cfg, m=m_sel)
-    weights = stage1_weights(samples, segments, cfg_m, t_eval)
-    delta = residual_delta(samples, segments, cfg_m, t_eval)
-    ratio = lambda_gamma_form(samples, segments, cfg_m, t_eval)
+    model, resid, r_n, m_sel, delta = _m_scan(samples, segments, cfg, t_eval, m_range)
+    # WeightConfig rejects the order None of a scan where every delta overflows
+    weights = _moment_weights(resid, r_n, replace(cfg, m=m_sel).m)
+    ratio = _gamma_scale(samples.values, model, resid)
     lambda_hat = ratio if model_segments else cfg.lambda0 * ratio
-
-    model = segments.value(t_eval)
-    diagnostics = {
-        "lambda_ratio": ratio,
-        "model_values": model,
-        "residuals": samples.values - cfg.lambda0 * model,
-    }
+    diagnostics = {"lambda_ratio": ratio, "model_values": model, "residuals": resid}
 
     q_hat = math.nan
     if eps_levels is not None:

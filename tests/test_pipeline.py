@@ -228,7 +228,7 @@ class TestIngestSamples:
         with pytest.raises(ValidationError) as err:
             ingest_kernel_samples(path)
         assert "non-increasing" in str(err.value)
-        assert err.value.row == 2
+        assert err.value.row == 3  # rows count physical lines
 
     def test_non_numeric_mid_file(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -240,8 +240,16 @@ class TestIngestSamples:
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("0,10\n1,nan\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             ingest_kernel_samples(path)
+        assert err.value.row == 2
+
+    def test_non_finite_row_counts_physical_lines(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,K\n0,10\n\n1,nan\n")
+        with pytest.raises(ValidationError) as err:
+            ingest_kernel_samples(path)
+        assert err.value.row == 4
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "wide.csv"
@@ -448,6 +456,9 @@ class TestRunModes:
         report = run(RunConfig(mode="validate", input=str(table1_file),
                                no_timestamp=True))
         assert report.result["failed"] == "none"
+        assert [r["check"] for r in report.tables["validate"].records()] == [
+            "positive-values", "knot-interpolation", "coefficient-ratio-2t",
+            "first-segment-flat"]
 
     def test_simulate_then_identify_closure(self, tmp_path):
         base = tmp_path / "syn"

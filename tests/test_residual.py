@@ -13,6 +13,7 @@ from viscoident import (
     KernelParams,
     KernelSamples,
     PowerLaw,
+    Spline,
     WeightConfig,
     eta,
     fit_kernel_spline,
@@ -34,6 +35,7 @@ from viscoident.errors import (
     NoRootBracketError,
     NoRootError,
     PoleError,
+    ViscoidentError,
 )
 from viscoident.kernels import creep_kernel
 from viscoident.residual import Q_RESIDUAL_RTOL, _exponent_roots, _lambert_w0
@@ -561,6 +563,63 @@ class TestIdentify:
         assert res.m_selected == 4
         assert np.all(res.weights > 0.0) and np.all(res.weights <= 1.0)
         assert res.delta >= 0.0
+
+    def test_one_spline_pass(self, table1, table1_segments, monkeypatch):
+        # one evaluation at the 16 evaluation times, one at the terminal sample
+        shapes = []
+        value = Spline.value
+
+        def counted(self, time):
+            shapes.append(np.shape(time))
+            return value(self, time)
+
+        monkeypatch.setattr(Spline, "value", counted)
+        identify(table1, table1_segments, None, WeightConfig(lambda0=0.9),
+                 sigma=1.0, pl0=PowerLaw(1.0, 1.0), strain_levels=[1.5])
+        assert sorted(shapes) == [(), (16,)]
+
+    @given(sample_sets(),
+           st.sampled_from([1.0, 2.0]) | st.floats(min_value=0.2, max_value=3.0),
+           st.booleans(), st.booleans())
+    def test_equals_stage_functions(self, samples, lambda0, at_knots, model):
+        # identify's single pass gives bitwise what the stage functions give,
+        # or fails with the error class they fail with first (lambda0 1 and 2
+        # zero the terminal residual of the self-fitted and the model pair)
+        if model:
+            data, segs = scaled_pair(samples)
+        else:
+            data, segs = samples, fit_kernel_spline(samples)
+        cfg = WeightConfig(lambda0=lambda0)
+        t_eval = segment_eval_times(data, at_knots=at_knots)
+
+        def stages():
+            m = select_moment_order(data, segs, cfg, t_eval)
+            cfg_m = replace(cfg, m=m)
+            return (m, stage1_weights(data, segs, cfg_m, t_eval),
+                    residual_delta(data, segs, cfg_m, t_eval),
+                    lambda_gamma_form(data, segs, cfg_m, t_eval))
+
+        def identified():
+            res = identify(data, segs, None, cfg, sigma=1.0,
+                           pl0=PowerLaw(1.0, 1.0), at_knots=at_knots,
+                           model_segments=model)
+            return (res.m_selected, res.weights, res.delta,
+                    res.diagnostics["lambda_ratio"])
+
+        outcomes = []
+        for run in (stages, identified):
+            try:
+                outcomes.append(run())
+            except ViscoidentError as exc:
+                outcomes.append(type(exc))
+        want, got = outcomes
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+            return
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            a, b = np.asarray(a, float), np.asarray(b, float)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestWeightConfigValidation:
