@@ -14,9 +14,11 @@ an isochrone file also runs on that file alone (samples derived from the
 matrix, lambda0 0.9), and the README identify also runs on copies of its
 input files with padded fields and with CRLF line ends. It hashes
 (SHA-256) every file a simulate run writes, every ``--no-timestamp``
-report, text and JSON, and the ``repr`` of every ``resolvent_mismatch``:
-the stress-program operations and the benchmark reference gate's constant
-stress on 256 points. It also hashes the ``--help`` text, the exit code
+report, text and JSON, the ``repr`` of every ``resolvent_mismatch`` (the
+stress-program operations, four operations of seeds 7, 16, 351 and 373
+whose mismatch is above the bound, and the benchmark reference gate's
+constant stress on 256 points) and the ``hereditary_convolution`` of one
+non-uniform 256-point grid. It also hashes the ``--help`` text, the exit code
 and the first line of stderr of each failing call of the CLI and ingestion
 tests and of the estimator's failure paths (a zero residual, a zero
 terminal residual, an order below 2), and the validate and ``table1
@@ -42,6 +44,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("creep_roundtrip", "relaxation_longrecord")  # CLI workloads
 SEEDS = (1, 2, 3)
 OPS_PER_SEED = 3
+# stress-program operations (seed, index) whose under-resolved programs put
+# the mismatch above the criterion-5 bound
+OVER_BOUND_OPS = ((7, 184), (16, 56), (351, 31), (373, 14))
 # malformed inputs of the ingestion tests: (ingester option, file text)
 MALFORMED = {
     "samples-header-only": ("--input", "t,K\n"),
@@ -226,16 +231,25 @@ def digest_cli_boundary(vi, wl, data: Path, digests: dict) -> None:
 
 
 def digest_mismatches(vi, wl, digests: dict) -> None:
-    """Digest the repr of each resolvent mismatch (the convolution layer)."""
+    """Digest the repr of each resolvent mismatch and one non-uniform grid's
+    convolution (the convolution layer)."""
     workload = wl.WORKLOADS["stress_program"]
-    for seed in SEEDS:
-        for op in itertools.islice(workload.ops(seed), OPS_PER_SEED):
-            try:
-                output, _ = workload.run(vi, op, None)
-            except wl.OpFailed as exc:
-                output = f"failure: {exc}"
-            label = f"{workload.name}/seed{seed}/op{op['index']}/mismatch"
-            digests[label] = sha256(output.encode())
+    ops = [(seed, op) for seed in SEEDS
+           for op in itertools.islice(workload.ops(seed), OPS_PER_SEED)]
+    ops += [(seed, next(itertools.islice(workload.ops(seed), index, None)))
+            for seed, index in OVER_BOUND_OPS]
+    for seed, op in ops:
+        try:
+            output, _ = workload.run(vi, op, None)
+        except wl.OpFailed as exc:  # its message holds the mismatch repr
+            output = f"failure: {exc}"
+        label = f"{workload.name}/seed{seed}/op{op['index']}/mismatch"
+        digests[label] = sha256(output.encode())
+    t = np.concatenate([[0.0], np.cumsum(
+        np.random.default_rng(12).uniform(0.5, 1.5, 255))])
+    t *= 4.0 / t[-1]
+    conv = vi.hereditary_convolution(0.5, 0.1, t, np.sin(t))
+    digests["convolution/non-uniform-256"] = sha256(conv.tobytes())
     # the constant stress of perfbench/run.py's reference gate
     t = np.linspace(0.0, 4.0, 256)
     mismatch = vi.resolvent_mismatch(

@@ -15,8 +15,11 @@ integral, which gives closed-form creep and relaxation responses; those are
 the synthetic-data oracles. For piecewise-linear programs the convolutions
 are evaluated by product integration: the kernel's first and second
 antiderivatives are series-exact on every subinterval, so the weak
-singularity never meets a quadrature rule. The power law and the
-simulators work on whole arrays, with no Python loop per sample.
+singularity never meets a quadrature rule. The antiderivatives depend on
+the lag alone, so the convolution runs their series once per distinct lag
+of the grid and gathers the n x n cells from it; the values are bitwise
+those of the series run over every cell. The power law and the simulators
+work on whole arrays, with no Python loop per sample.
 """
 
 from __future__ import annotations
@@ -182,6 +185,20 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
 
     with u the lag, a = t_k - t_{i+1}, b = t_k - t_i and m the data slope
     in the lag variable.
+
+    I1 and I2 depend on the lag alone, and the lag matrix holds far fewer
+    distinct values than cells (about 3n on an evenly spaced grid, at most
+    n*(n-1)/2 + 1 on any grid), so each series runs once over the sorted
+    distinct lags and the cells gather from it. The result is bitwise that
+    of the series run over every cell of the hi block (the upper limits b)
+    and of the lo block (the lower limits a), with the cells i > k at lag
+    0: a series value depends only on its own lag and on the call's term
+    count, and the term count is set by the call's largest lag, since each
+    term grows with the lag. The lo block's largest lag, t_{n-1} - t_1, is
+    below the hi block's, t_{n-1} - t_0, so its term count is found from
+    that lag alone. When the counts agree the lo block gathers the hi
+    block's values; otherwise its series runs again over the lags up to
+    its largest one.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -190,20 +207,39 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
     if not np.all(np.diff(times) > 0.0):
         raise DomainError("convolution times must be strictly increasing")
     n = len(times)
-    # lag matrices for all (k, i) pairs, masked to i < k
-    lag_lo = times[:, None] - times[None, 1:]    # t_k - t_{i+1}
-    lag_hi = times[:, None] - times[None, :-1]   # t_k - t_i
-    mask = np.tril(np.ones((n, n - 1), dtype=bool), k=0)
-    I1_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 1).value
-    I1_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 1).value
-    I2_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 2).value
-    I2_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 2).value
-    width = lag_hi - lag_lo  # = h_i, independent of k
+    lag = times[:, None] - times[None, :]    # t_k - t_i
+    width = lag[:, :-1] - lag[:, 1:]         # = h_i, independent of k
+    upper = ~np.tri(n, dtype=bool)           # i > k: outside the integral
+    np.copyto(lag, 0.0, where=upper)
+    lags = np.unique(lag)
+    top_lo = np.searchsorted(lags, lag[-1, 1] if n > 1 else 0.0, side="right")
+    index = np.searchsorted(lags, lag)
+    del lag
+    # lo block (a = t_k - t_{i+1}) = columns 1.., hi block (b = t_k - t_i) = ..n-2
+    blocks = []
+    for order in (1, 2):
+        # the lo block's term count, from its largest lag alone
+        lo = _antiderivative_grid(alpha, rate, lags[top_lo - 1:top_lo], order)
+        hi = _antiderivative_grid(alpha, rate, lags, order)
+        cells = hi.value[index]
+        if lo.terms == hi.terms:  # one truncation: lo's values are hi's
+            blocks.append((cells[:, 1:], cells[:, :-1]))
+        else:
+            lo = _antiderivative_grid(alpha, rate, lags[:top_lo], order)
+            blocks.append((lo.value[index[:, 1:]], cells[:, :-1]))
+    del index
+    (I1_lo, I1_hi), (I2_lo, I2_hi) = blocks
     slope = (values[:-1] - values[1:]) / (times[1:] - times[:-1])
-    contrib = values[None, 1:] * (I1_hi - I1_lo) + slope[None, :] * (
-        width * I1_hi - I2_hi + I2_lo
-    )
-    return np.sum(np.where(mask, contrib, 0.0), axis=1)
+    # values * (I1_hi - I1_lo) + slope * (width * I1_hi - I2_hi + I2_lo)
+    contrib = I1_hi - I1_lo
+    contrib *= values[1:]
+    width *= I1_hi
+    width -= I2_hi
+    width += I2_lo
+    width *= slope
+    contrib += width
+    np.copyto(contrib, 0.0, where=upper[:, :-1])
+    return np.sum(contrib, axis=1)
 
 
 def resolvent_mismatch(kp: KernelParams, pl: PowerLaw,

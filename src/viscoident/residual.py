@@ -137,25 +137,29 @@ def _stage1(samples: KernelSamples, segments: Spline, lambda0: float, t_eval,
 
 
 def _moment_weights(resid: np.ndarray, r_n: float, m: int) -> np.ndarray:
-    """w_j = 1/(1 + |r_j / r_n|**m) for the terminal residual ``r_n``."""
+    """w_j = 1/(1 + |r_j / r_n|**m) for the terminal residual ``r_n``; a
+    ratio whose power overflows gets its limit weight 0."""
     if r_n == 0.0:
         raise DegenerateNormalizationError(
             "lambda0 fits the terminal sample exactly; perturb lambda0"
         )
-    return 1.0 / (1.0 + np.abs(resid / r_n) ** m)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.abs(resid / r_n) ** m)
 
 
 def _delta(resid: np.ndarray, r_n: float, m: int) -> float:
-    """sum_j (w_j * r_j)**2 at order m; 0 on an exact fit (every r_j zero)."""
+    """sum_j (w_j * r_j)**2 at order m; 0 on an exact fit (every r_j zero),
+    inf where the sum overflows."""
     if np.all(resid == 0.0):
         return 0.0
-    return float(np.sum((_moment_weights(resid, r_n, m) * resid) ** 2))
+    with np.errstate(over="ignore"):
+        return float(np.sum((_moment_weights(resid, r_n, m) * resid) ** 2))
 
 
 def _m_scan(samples: KernelSamples, segments: Spline, cfg: WeightConfig, t_eval,
-            m_range) -> tuple[np.ndarray, np.ndarray, float, int | None, float]:
+            m_range) -> tuple[np.ndarray, np.ndarray, float, int, float]:
     """The pass and the m-scan over it: (model, residuals, r_n, m, delta), m
-    the first order of least delta, or None (delta inf) if none is finite."""
+    the first order of least delta; DomainError if no delta is finite."""
     orders = [replace(cfg, m=m).m for m in sorted(m_range)]  # validates each m
     if not orders:
         raise DomainError("m_range must be nonempty")
@@ -165,6 +169,10 @@ def _m_scan(samples: KernelSamples, segments: Spline, cfg: WeightConfig, t_eval,
         d = _delta(resid, r_n, m)
         if d < best_delta:
             best_m, best_delta = m, d
+    if best_m is None:
+        raise DomainError(
+            f"the weighted residuals overflow: delta is not finite at any m in "
+            f"{orders} (largest |r_j| {np.max(np.abs(resid)):.3g})")
     return model, resid, r_n, best_m, best_delta
 
 
@@ -370,8 +378,7 @@ def identify(samples: KernelSamples, segments: Spline,
 
     t_eval = segment_eval_times(samples, at_knots=at_knots)
     model, resid, r_n, m_sel, delta = _m_scan(samples, segments, cfg, t_eval, m_range)
-    # WeightConfig rejects the order None of a scan where every delta overflows
-    weights = _moment_weights(resid, r_n, replace(cfg, m=m_sel).m)
+    weights = _moment_weights(resid, r_n, m_sel)
     ratio = _gamma_scale(samples.values, model, resid)
     lambda_hat = ratio if model_segments else cfg.lambda0 * ratio
     diagnostics = {"lambda_ratio": ratio, "model_values": model, "residuals": resid}

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscoident import (
@@ -24,6 +24,7 @@ from viscoident import (
     simulate_relaxation,
 )
 from viscoident.errors import ConvergenceError, DomainError, InsufficientDataError
+from viscoident.kernels import _antiderivative_grid
 
 # 200-term summation at 50 decimal digits (mpmath), frozen:
 #   1 - 0.1 * sum_n (-0.1)**n / Gamma(0.5*(1+n)+1)   (resolvent rate 0+0.1)
@@ -190,6 +191,33 @@ class TestKernelFromHistory:
             relaxation_kernel_from_history(ok, PowerLaw(1.0, 1.0), 0.0)
 
 
+def four_grid_convolution(alpha, rate, times, values):
+    # the product integration as it read with one series call per lag block
+    # over every (k, i) cell, cells with i > k masked to lag 0
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n = len(times)
+    lag_lo = times[:, None] - times[None, 1:]
+    lag_hi = times[:, None] - times[None, :-1]
+    mask = np.tril(np.ones((n, n - 1), dtype=bool), k=0)
+    I1_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 1).value
+    I1_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 1).value
+    I2_lo = _antiderivative_grid(alpha, rate, np.where(mask, lag_lo, 0.0), 2).value
+    I2_hi = _antiderivative_grid(alpha, rate, np.where(mask, lag_hi, 0.0), 2).value
+    width = lag_hi - lag_lo
+    slope = (values[:-1] - values[1:]) / (times[1:] - times[:-1])
+    contrib = values[None, 1:] * (I1_hi - I1_lo) + slope[None, :] * (
+        width * I1_hi - I2_hi + I2_lo
+    )
+    return np.sum(np.where(mask, contrib, 0.0), axis=1)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestConvolution:
     def test_unit_data_reproduces_kernel_integral(self):
         # (K * 1)(t) is exactly the kernel integral; the product rule is
@@ -200,6 +228,41 @@ class TestConvolution:
         expected = np.array([creep_kernel_integral(kp, ti).value for ti in t])
         assert conv == pytest.approx(expected, rel=1e-12)
 
+    def test_one_and_two_point_grids(self):
+        assert_bitwise(hereditary_convolution(0.5, 0.1, [0.0], [1.0]), [0.0])
+        assert_bitwise(hereditary_convolution(0.5, 0.1, [0.0, 1e-300], [1.0, 2.0]),
+                       [0.0, 2.2567583341910252e-150])
+
+    def test_stress_program_grid_matches_four_grid_evaluation(self):
+        # the benchmark's 1024-point grid: about 3n distinct lags
+        kp = KernelParams(0.5, 0.1, 0.2)
+        t = np.linspace(0.0, 4.0, 1024)
+        sigma = np.interp(t, [0.0, 0.8, 1.9, 3.1, 3.6], [0.0, 1.4, 0.6, 1.8, 0.3])
+        for rate in (kp.beta, kp.beta + kp.lam):
+            assert_bitwise(hereditary_convolution(kp.alpha, rate, t, sigma),
+                           four_grid_convolution(kp.alpha, rate, t, sigma))
+
+    @settings(max_examples=40)
+    @given(st.lists(st.floats(0.05, 1.0), min_size=7, max_size=299),
+           st.floats(0.3, 0.7), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_nonuniform_grids_match_four_grid_evaluation(self, spacing, alpha,
+                                                         rate, seed):
+        t = np.concatenate([[0.0], np.cumsum(spacing)])
+        t *= 4.0 / t[-1]
+        values = np.random.default_rng(seed).normal(size=len(t))
+        assert_bitwise(hereditary_convolution(alpha, rate, t, values),
+                       four_grid_convolution(alpha, rate, t, values))
+
+    def test_lag_blocks_with_different_term_counts(self):
+        # the hi block's largest lag (11) needs more series terms than the lo
+        # block's (1), so the lo block's values are not the hi block's
+        t = np.array([0.0, 10.0, 10.5, 11.0])
+        for order in (1, 2):
+            assert (_antiderivative_grid(0.5, 1.0, t[-1] - t[1], order).terms
+                    < _antiderivative_grid(0.5, 1.0, t[-1] - t[0], order).terms)
+        values = np.array([1.0, 2.0, -1.0, 3.0])
+        assert_bitwise(hereditary_convolution(0.5, 1.0, t, values),
+                       four_grid_convolution(0.5, 1.0, t, values))
 
     @pytest.mark.parametrize("times, values", [
         ([0.0, 0.5, 0.4, 1.5], np.ones(4)),     # not increasing

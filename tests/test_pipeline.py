@@ -562,6 +562,26 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err.startswith("error(ConvergenceError):")
 
+    def test_overflowing_weighted_residuals(self, tmp_path, capsys):
+        # (w_j * r_j)**2 overflows at every order m, so no m is selected
+        path = tmp_path / "huge.csv"
+        path.write_text("t,K\n1,1e160\n2,2e160\n3,1.5e160\n4,3e160\n")
+        code = main(["--mode", "identify", "--input", str(path),
+                     "--lambda0", "0.9"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error(DomainError): the weighted residuals overflow: delta is not "
+            "finite at any m in [2, 3, 4, 5, 6, 7, 8] (largest |r_j| 4.75e+159)\n")
+
+    def test_overflowing_weight_power_is_silent(self, tmp_path, capsys):
+        # |r_j / r_n|**8 = 1e320 overflows: that sample's weight is its limit 0
+        path = tmp_path / "steep.csv"
+        path.write_text("t,K\n1,1e40\n2,1e30\n3,1e20\n4,1\n")
+        code = main(["--mode", "identify", "--input", str(path),
+                     "--lambda0", "0.9", "--eval-at-knots", "--no-timestamp"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_exit_code_no_root(self, table1_file, capsys):
         code = main(["--mode", "identify", "--input", str(table1_file),
                      "--lambda0", "0.9", "--eval-at-knots",
