@@ -25,7 +25,7 @@ def main():
     print(f"alpha={kp.alpha} beta={kp.beta} lam={kp.lam}, constant stress on [0, 4]")
     print(f"{'points':>8} {'max mismatch':>14} {'ratio':>8} {'seconds':>8}")
     prev = None
-    for n in (32, 64, 128, 256, 512, 1024, 2048):
+    for n in (32, 64, 128, 256, 512, 1024, 2048, 4096):
         t = np.linspace(0.0, 4.0, n)
         hist = v.ResponseHistory(t, np.ones(n), v.KIND_STRESS_PROGRAM, 1.0)
         err = v.resolvent_mismatch(kp, pl, hist)

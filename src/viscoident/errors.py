@@ -65,7 +65,8 @@ class DegenerateColumnError(ViscoidentError):
 
 
 class SingularDenominatorError(ViscoidentError):
-    """Spline coefficient denominator h_{j-1}(2 t_j - h_{j-1}) vanished."""
+    """Spline coefficient denominator h_{j-1}(2 t_j - h_{j-1}) vanished or
+    underflowed, leaving the segment coefficients non-finite."""
 
     exit_code = 3
 

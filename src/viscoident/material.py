@@ -13,13 +13,14 @@ kernel K and its resolvent R:
 Under a constant load either convolution collapses to the term-wise kernel
 integral, which gives closed-form creep and relaxation responses; those are
 the synthetic-data oracles. For piecewise-linear programs the convolutions
-are evaluated by product integration: the kernel's first and second
-antiderivatives are series-exact on every subinterval, so the weak
-singularity never meets a quadrature rule. The antiderivatives depend on
-the lag alone, so the convolution runs their series once per distinct lag
-of the grid and gathers the n x n cells from it; the values are bitwise
-those of the series run over every cell. The power law and the simulators
-work on whole arrays, with no Python loop per sample.
+are evaluated by product integration, integrated by parts onto the
+kernel's first and second antiderivatives: these are series-exact at every
+lag, so the weak singularity never meets a quadrature rule, and the data
+enters only through its first value and the jumps of its slope. The
+second antiderivative depends on the lag alone, so its series runs once
+per distinct lag of the grid and one matrix-vector product sums the cells.
+The power law and the simulators work on whole arrays, with no Python loop
+per sample.
 """
 
 from __future__ import annotations
@@ -177,69 +178,40 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
                            values: np.ndarray) -> np.ndarray:
     """(K * f)(t_k) on the grid, exact for piecewise-linear f.
 
-    On each subinterval the data is linear and the kernel factor is handled
-    through its first and second antiderivatives I1, I2:
+    Integrating by parts twice moves the kernel onto its first and second
+    antiderivatives I1, I2, which are series-exact at every lag, and the
+    data onto its value at the start and the jumps of its slope:
 
-        integral_a^b K(u) * (f1 + (u - a)*m) du
-            = f1*(I1(b) - I1(a)) + m*((b - a)*I1(b) - I2(b) + I2(a))
+        (K * f)(t_k) = f_0*I1(t_k - t_0) - sum_{j<k} (m_j - m_{j-1})*I2(t_k - t_j)
 
-    with u the lag, a = t_k - t_{i+1}, b = t_k - t_i and m the data slope
-    in the lag variable.
-
-    I1 and I2 depend on the lag alone, and the lag matrix holds far fewer
-    distinct values than cells (about 3n on an evenly spaced grid, at most
-    n*(n-1)/2 + 1 on any grid), so each series runs once over the sorted
-    distinct lags and the cells gather from it. The result is bitwise that
-    of the series run over every cell of the hi block (the upper limits b)
-    and of the lo block (the lower limits a), with the cells i > k at lag
-    0: a series value depends only on its own lag and on the call's term
-    count, and the term count is set by the call's largest lag, since each
-    term grows with the lag. The lo block's largest lag, t_{n-1} - t_1, is
-    below the hi block's, t_{n-1} - t_0, so its term count is found from
-    that lag alone. When the counts agree the lo block gathers the hi
-    block's values; otherwise its series runs again over the lags up to
-    its largest one.
+    with m_j = (f_j - f_{j+1})/(t_{j+1} - t_j) the slope in the lag variable
+    and m_{-1} = 0 (product integration; Linz, Analytical and Numerical
+    Methods for Volterra Equations, 1985). I1 runs over the n grid times.
+    The n x (n-1) lag matrix has its cells j > k clamped to lag 0, where I2
+    vanishes, and holds far fewer distinct values than cells (about 3n on
+    an evenly spaced grid, at most n*(n-1)/2 + 1 on any grid), so I2 runs
+    once over the sorted distinct lags and the cells gather from it. Each
+    series value is within ABS_TOL of the exact one, so the result is within
+    ABS_TOL*(|f_0| + sum_j |m_j - m_{j-1}|) of the exact convolution, and
+    constant data gives exactly f_0*I1.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.size == 0 or values.shape != times.shape:
         raise DomainError("times and values must be 1-d, non-empty and equally long")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise DomainError("convolution times and values must be finite")
     if not np.all(np.diff(times) > 0.0):
         raise DomainError("convolution times must be strictly increasing")
-    n = len(times)
-    lag = times[:, None] - times[None, :]    # t_k - t_i
-    width = lag[:, :-1] - lag[:, 1:]         # = h_i, independent of k
-    upper = ~np.tri(n, dtype=bool)           # i > k: outside the integral
-    np.copyto(lag, 0.0, where=upper)
+    lag = times[:, None] - times[None, :-1]    # t_k - t_j, < 0 where j > k
+    np.maximum(lag, 0.0, out=lag)
     lags = np.unique(lag)
-    top_lo = np.searchsorted(lags, lag[-1, 1] if n > 1 else 0.0, side="right")
     index = np.searchsorted(lags, lag)
     del lag
-    # lo block (a = t_k - t_{i+1}) = columns 1.., hi block (b = t_k - t_i) = ..n-2
-    blocks = []
-    for order in (1, 2):
-        # the lo block's term count, from its largest lag alone
-        lo = _antiderivative_grid(alpha, rate, lags[top_lo - 1:top_lo], order)
-        hi = _antiderivative_grid(alpha, rate, lags, order)
-        cells = hi.value[index]
-        if lo.terms == hi.terms:  # one truncation: lo's values are hi's
-            blocks.append((cells[:, 1:], cells[:, :-1]))
-        else:
-            lo = _antiderivative_grid(alpha, rate, lags[:top_lo], order)
-            blocks.append((lo.value[index[:, 1:]], cells[:, :-1]))
-    del index
-    (I1_lo, I1_hi), (I2_lo, I2_hi) = blocks
+    I2 = _antiderivative_grid(alpha, rate, lags, 2).value[index]
+    I1 = _antiderivative_grid(alpha, rate, times - times[0], 1).value
     slope = (values[:-1] - values[1:]) / (times[1:] - times[:-1])
-    # values * (I1_hi - I1_lo) + slope * (width * I1_hi - I2_hi + I2_lo)
-    contrib = I1_hi - I1_lo
-    contrib *= values[1:]
-    width *= I1_hi
-    width -= I2_hi
-    width += I2_lo
-    width *= slope
-    contrib += width
-    np.copyto(contrib, 0.0, where=upper[:, :-1])
-    return np.sum(contrib, axis=1)
+    return values[0] * I1 - I2 @ np.diff(slope, prepend=0.0)
 
 
 def resolvent_mismatch(kp: KernelParams, pl: PowerLaw,

@@ -157,11 +157,17 @@ def similarity_means(data: IsochroneDataset, pl: PowerLaw) -> np.ndarray:
         S_j = sum_i phi0(eps_i) * phi_t(eps_i, t_j) / sum_i phi_t(eps_i, t_j)**2
     """
     phi_inst = phi0(pl, data.strain_levels)
-    denom = np.sum(data.phi_t ** 2, axis=0)
-    bad = np.nonzero(denom == 0.0)[0]
+    with np.errstate(over="ignore"):
+        denom = np.sum(data.phi_t ** 2, axis=0)
+    bad = np.flatnonzero(denom == 0.0)
     if bad.size:
         raise DegenerateColumnError(
             f"isochrone column {bad[0] + 1} is identically zero"
+        )
+    bad = np.flatnonzero(~np.isfinite(denom))
+    if bad.size:
+        raise DegenerateColumnError(
+            f"isochrone column {bad[0] + 1}: its sum of squares is not finite"
         )
     return (phi_inst @ data.phi_t) / denom
 
@@ -170,23 +176,28 @@ def fit_kernel_spline(samples: KernelSamples) -> Spline:
     """Fit the quadratic segments to kernel samples.
 
     Segment 1 is the constant B_1; later segments use backward differences.
-    Raises when a coefficient denominator 2*t_j - h_{j-1} vanishes.
+    Raises when a coefficient comes out non-finite: its denominator
+    h_{j-1}*(2*t_j - h_{j-1}) vanishes (2*t_j = h_{j-1}, or the product
+    underflows on a fine grid) or is too small for the data.
     """
     if len(samples) < 2:
         raise InsufficientDataError("need at least two samples to fit segments")
     t, K = samples.times, samples.values
     h = np.diff(t)
-    bracket = 2.0 * t[1:] - h
-    singular = np.flatnonzero(bracket == 0.0)
+    denom = h * (2.0 * t[1:] - h)
+    with np.errstate(all="ignore"):
+        threeD = np.diff(K) / denom
+        # twoC derived from threeD so the 2C/3D = 2*t_j identity is bitwise
+        twoC = 2.0 * t[1:] * threeD
+    singular = np.flatnonzero(~np.isfinite(twoC))
     if singular.size:
         j = singular[0] + 1
         raise SingularDenominatorError(
-            f"2*t_j equals h_(j-1) at knot {j + 1} (t = {t[j]})",
+            f"coefficient denominator h_(j-1)*(2*t_j - h_(j-1)) is "
+            f"{denom[j - 1]:.3g} at knot {j + 1} (t = {t[j]}): its segment "
+            f"coefficients are not finite",
             knot_index=j + 1,
         )
-    threeD = np.diff(K) / (h * bracket)
-    # twoC derived from threeD so the 2C/3D = 2*t_j identity is bitwise
-    twoC = 2.0 * t[1:] * threeD
     return Spline(t, K, np.insert(twoC, 0, 0.0), np.insert(threeD, 0, 0.0))
 
 

@@ -24,7 +24,7 @@ from viscoident import (
     simulate_relaxation,
 )
 from viscoident.errors import ConvergenceError, DomainError, InsufficientDataError
-from viscoident.kernels import _antiderivative_grid
+from viscoident.kernels import ABS_TOL, _antiderivative_grid
 
 # 200-term summation at 50 decimal digits (mpmath), frozen:
 #   1 - 0.1 * sum_n (-0.1)**n / Gamma(0.5*(1+n)+1)   (resolvent rate 0+0.1)
@@ -218,6 +218,76 @@ def assert_bitwise(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def slope_jumps(times, values):
+    # m_j = (v_j - v_{j+1}) / h_j and its jumps m_j - m_{j-1}, m_{-1} = 0
+    slope = -np.diff(values) / np.diff(times)
+    return slope, np.diff(slope, prepend=0.0)
+
+
+def by_parts_truncation(times, values):
+    # each I1, I2 value is within ABS_TOL: the by-parts form weights them by
+    # |v_0| and the slope jumps
+    return ABS_TOL * (abs(values[0]) + np.sum(np.abs(slope_jumps(times, values)[1])))
+
+
+def four_grid_truncation(times, values):
+    # per cell, v_{i+1}*(I1(b) - I1(a)) carries 2 series errors and
+    # m_i*(h_i*I1(b) - I2(b) + I2(a)) carries h_i + 2 of them
+    slope = slope_jumps(times, values)[0]
+    return ABS_TOL * np.sum(2.0 * np.abs(values[1:]) + np.abs(slope) * (np.diff(times) + 2.0))
+
+
+def assert_matches_four_grid(alpha, rate, times, values):
+    # both forms are series-exact up to their truncation, so they agree
+    # within the sum of the two truncation bounds
+    got = hereditary_convolution(alpha, rate, times, values)
+    want = four_grid_convolution(alpha, rate, times, values)
+    bound = by_parts_truncation(times, values) + four_grid_truncation(times, values)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def mp_series(alpha, rate, s_max, order):
+    # I1 or I2 at 40 digits on [0, s_max]: s**(a+order-1) * sum_n g_n y**n with
+    # g_n = 1/Gamma(c_n+order), y = -rate*s**a, a = 1-alpha, c_n = a*(1+n),
+    # cut where the terms at s_max have fallen below 1e-45 (smaller lags have
+    # smaller terms)
+    import mpmath as mp
+
+    a = 1 - mp.mpf(alpha)
+    y_max = mp.mpf(rate) * mp.mpf(s_max) ** a
+    coeffs, n = [], 0
+    while True:
+        coeffs.append(1 / mp.gamma(a * (1 + n) + order))
+        if n >= 10 and abs(coeffs[-1]) * y_max ** n < mp.mpf("1e-45"):
+            break
+        n += 1
+    coeffs.reverse()  # highest power first, for polyval
+
+    def value(s):
+        if s == 0:
+            return mp.mpf(0)
+        x = mp.mpf(s) ** a
+        return x * mp.mpf(s) ** (order - 1) * mp.polyval(coeffs, -mp.mpf(rate) * x)
+    return value
+
+
+def mp_convolution(alpha, rate, times, values):
+    # the by-parts sum in 40-digit arithmetic, from the float data as given
+    import mpmath as mp
+
+    with mp.workdps(40):
+        t = [mp.mpf(x) for x in times]
+        v = [mp.mpf(x) for x in values]
+        I1 = mp_series(alpha, rate, t[-1] - t[0], 1)
+        I2 = mp_series(alpha, rate, t[-1] - t[0], 2)
+        slope = [(v[j] - v[j + 1]) / (t[j + 1] - t[j]) for j in range(len(t) - 1)]
+        jumps = [slope[0]] + [slope[j] - slope[j - 1] for j in range(1, len(slope))]
+        return np.array([
+            float(v[0] * I1(tk - t[0]) - mp.fsum(jumps[j] * I2(tk - t[j]) for j in range(k)))
+            for k, tk in enumerate(t)
+        ])
+
+
 class TestConvolution:
     def test_unit_data_reproduces_kernel_integral(self):
         # (K * 1)(t) is exactly the kernel integral; the product rule is
@@ -230,8 +300,15 @@ class TestConvolution:
 
     def test_one_and_two_point_grids(self):
         assert_bitwise(hereditary_convolution(0.5, 0.1, [0.0], [1.0]), [0.0])
+        # I2(1e-300) underflows to 0, so only v_0 * I1 remains (the exact
+        # value is about 1.88e-150)
         assert_bitwise(hereditary_convolution(0.5, 0.1, [0.0, 1e-300], [1.0, 2.0]),
-                       [0.0, 2.2567583341910252e-150])
+                       [0.0, 1.1283791670955126e-150])
+        # v_0 = 1 and one slope jump of -1: I1(1) + I2(1)
+        I1, I2 = (_antiderivative_grid(0.5, 0.1, 1.0, order).value for order in (1, 2))
+        assert_bitwise(hereditary_convolution(0.5, 0.1, [0.0, 1.0], [1.0, 2.0]),
+                       [0.0, I1 + I2])
+        assert I1 + I2 == 1.7405335216308497
 
     def test_stress_program_grid_matches_four_grid_evaluation(self):
         # the benchmark's 1024-point grid: about 3n distinct lags
@@ -239,8 +316,7 @@ class TestConvolution:
         t = np.linspace(0.0, 4.0, 1024)
         sigma = np.interp(t, [0.0, 0.8, 1.9, 3.1, 3.6], [0.0, 1.4, 0.6, 1.8, 0.3])
         for rate in (kp.beta, kp.beta + kp.lam):
-            assert_bitwise(hereditary_convolution(kp.alpha, rate, t, sigma),
-                           four_grid_convolution(kp.alpha, rate, t, sigma))
+            assert_matches_four_grid(kp.alpha, rate, t, sigma)
 
     @settings(max_examples=40)
     @given(st.lists(st.floats(0.05, 1.0), min_size=7, max_size=299),
@@ -250,19 +326,37 @@ class TestConvolution:
         t = np.concatenate([[0.0], np.cumsum(spacing)])
         t *= 4.0 / t[-1]
         values = np.random.default_rng(seed).normal(size=len(t))
-        assert_bitwise(hereditary_convolution(alpha, rate, t, values),
-                       four_grid_convolution(alpha, rate, t, values))
+        assert_matches_four_grid(alpha, rate, t, values)
 
     def test_lag_blocks_with_different_term_counts(self):
-        # the hi block's largest lag (11) needs more series terms than the lo
-        # block's (1), so the lo block's values are not the hi block's
+        # the largest lag (11) needs more series terms than the four-grid
+        # form's lo block (largest lag 1), so its lo and hi blocks truncate
+        # differently
         t = np.array([0.0, 10.0, 10.5, 11.0])
         for order in (1, 2):
             assert (_antiderivative_grid(0.5, 1.0, t[-1] - t[1], order).terms
                     < _antiderivative_grid(0.5, 1.0, t[-1] - t[0], order).terms)
-        values = np.array([1.0, 2.0, -1.0, 3.0])
-        assert_bitwise(hereditary_convolution(0.5, 1.0, t, values),
-                       four_grid_convolution(0.5, 1.0, t, values))
+        assert_matches_four_grid(0.5, 1.0, t, np.array([1.0, 2.0, -1.0, 3.0]))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_mpmath_oracle(self, seed):
+        # non-uniform grids of 10-40 points on [0, 4] at stress-program
+        # kernel parameters; even seeds carry a ramp-hold-unload program,
+        # odd seeds random data
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 41))
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
+        t *= 4.0 / t[-1]
+        if seed % 2:
+            values = rng.normal(size=n)
+        else:
+            knots = np.sort(rng.uniform(0.2, 4.0, 4))
+            values = np.interp(t, np.concatenate([[0.0], knots]),
+                               np.concatenate([[0.0], rng.uniform(0.2, 2.0, 4)]))
+        alpha, rate = rng.uniform(0.3, 0.7), rng.uniform(0.0, 0.8)
+        got = hereditary_convolution(alpha, rate, t, values)
+        want = mp_convolution(alpha, rate, t, values)
+        assert np.max(np.abs(got - want)) <= by_parts_truncation(t, values)
 
     @pytest.mark.parametrize("times, values", [
         ([0.0, 0.5, 0.4, 1.5], np.ones(4)),     # not increasing
@@ -270,6 +364,10 @@ class TestConvolution:
         ([0.0, 0.5, 1.0], np.ones(4)),          # values too long
         ([[0.0, 0.5], [1.0, 1.5]], np.ones((2, 2))),
         ([], []),
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 1.0]),
+        ([0.0, 1.0, 2.0], [1.0, math.inf, 1.0]),
+        ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),
+        ([0.0, math.nan, 2.0], [1.0, 1.0, 1.0]),
     ])
     def test_arguments_checked(self, times, values):
         with pytest.raises(DomainError):

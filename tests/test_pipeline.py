@@ -573,6 +573,30 @@ class TestCli:
             "error(DomainError): the weighted residuals overflow: delta is not "
             "finite at any m in [2, 3, 4, 5, 6, 7, 8] (largest |r_j| 4.75e+159)\n")
 
+    @pytest.mark.parametrize("mode", [["validate"], ["identify", "--lambda0", "0.9"]])
+    def test_underflowing_spline_denominator(self, tmp_path, capsys, mode):
+        # h_1 * (2*t_2 - h_1) = 1e-200 * 3e-200 underflows to 0
+        path = tmp_path / "tiny.csv"
+        path.write_text("t,K\n1e-200,5\n2e-200,4\n3e-200,3.5\n4e-200,3\n")
+        code = main(["--mode", mode[0], "--input", str(path), *mode[1:]])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error(SingularDenominatorError): coefficient denominator "
+            "h_(j-1)*(2*t_j - h_(j-1)) is 0 at knot 2 (t = 2e-200): its "
+            "segment coefficients are not finite\n")
+
+    def test_overflowing_isochrone_column(self, tmp_path, capsys):
+        # the squares of values near 1e200 overflow in the similarity means
+        path = tmp_path / "big.csv"
+        path.write_text("eps,0,1,2,3\n0.5,1e200,2e200,3e200,4e200\n"
+                        "1.0,2e200,3e200,4e200,5e200\n")
+        code = main(["--mode", "identify", "--isochrones", str(path),
+                     "--lambda0", "0.9"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error(DegenerateColumnError): isochrone column 1: its sum of "
+            "squares is not finite\n")
+
     def test_overflowing_weight_power_is_silent(self, tmp_path, capsys):
         # |r_j / r_n|**8 = 1e320 overflows: that sample's weight is its limit 0
         path = tmp_path / "steep.csv"

@@ -99,6 +99,15 @@ class TestFit:
             fit_kernel_spline(s)
         assert err.value.knot_index == 2
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160])
+    def test_tiny_denominator_named(self, scale):
+        # h_1 * (2*t_2 - h_1) underflows to 0 at 1e-200 and leaves a
+        # subnormal 3e-320 at 1e-160, which overflows the coefficient
+        s = KernelSamples(scale * np.arange(1.0, 5.0), np.array([5.0, 4.0, 3.5, 3.0]))
+        with pytest.raises(SingularDenominatorError, match="at knot 2 ") as err:
+            fit_kernel_spline(s)
+        assert err.value.knot_index == 2
+
     @given(sample_sets())
     def test_knot_interpolation_exact(self, samples):
         segs = fit_kernel_spline(samples)
@@ -181,6 +190,17 @@ class TestSimilarityMeans:
             np.array([[1.0, 0.0], [2.0, 0.0]]),
         )
         with pytest.raises(DegenerateColumnError):
+            similarity_means(data, pl)
+
+    def test_overflowing_column(self):
+        # column 2's sum of squares overflows; column 1 stays finite
+        pl = PowerLaw(H=1.0, q=1.0)
+        data = IsochroneDataset(
+            np.array([1.0, 2.0]),
+            np.array([0.0, 1.0]),
+            np.array([[1.0, 1e200], [2.0, 2e200]]),
+        )
+        with pytest.raises(DegenerateColumnError, match="^isochrone column 2: "):
             similarity_means(data, pl)
 
     @given(
