@@ -12,7 +12,9 @@ each one runs the README recipe (table1, simulate, identify) and operations
 from this checkout's ``perfbench/workloads.py``. Each identify call with
 an isochrone file also runs on that file alone (samples derived from the
 matrix, lambda0 0.9), and the README identify also runs on copies of its
-input files with padded fields and with CRLF line ends. It hashes
+input files with padded fields and with CRLF line ends. The isochrones-only
+identify also runs on the README isochrones with strain levels and values
+times 2**-560, 2**0 and 2**600, written exactly. It hashes
 (SHA-256) every file a simulate run writes, every ``--no-timestamp``
 report, text and JSON, the ``repr`` of every ``resolvent_mismatch`` (the
 stress-program operations, four operations of seeds 7, 16, 351 and 373
@@ -20,8 +22,10 @@ whose mismatch is above the bound, and the benchmark reference gate's
 constant stress on 256 points) and the ``hereditary_convolution`` of one
 non-uniform 256-point grid. It also hashes the ``--help`` text, the exit code
 and the first line of stderr of each failing call of the CLI and ingestion
-tests and of the estimator's failure paths (a zero residual, a zero
-terminal residual, an order below 2), and the validate and ``table1
+tests, of the estimator's failure paths (a zero residual, a zero terminal
+residual, an order below 2) and of the three routes to kernel samples on two
+samples (a two-point simulate of either kind, a two-time isochrone file),
+and the validate and ``table1
 --input`` reports of the 16-row fixture. It prints the outputs whose
 digests differ and exits 1 if any do, 0 if none do.
 """
@@ -65,6 +69,8 @@ REWRITES = {
         " " + " ,\t".join(line.split(",")) + "\t\n" for line in text.splitlines()),
     "crlf": lambda text: text.replace("\n", "\r\n"),
 }
+# powers of two scaling the README isochrones' strain levels and values
+ISOCHRONE_SCALES = (-560, 0, 600)
 README_SIMULATE = [
     "--mode", "simulate", "--kind", "creep", "--alpha", "0.5", "--beta", "0",
     "--lam", "0.8", "--H", "1", "--q", "1.5", "--sigma", "1",
@@ -144,6 +150,15 @@ def digest_identify(wl, cli, argv, label: str, digests: dict) -> None:
                        label + "/isochrones-only", digests)
 
 
+def scaled_isochrones(text: str, power: int) -> str:
+    """An isochrone file with its strain levels and values times 2**power,
+    each written with the digits that read back as the same float."""
+    header, *rows = text.splitlines()
+    table = np.ldexp(np.loadtxt(rows, delimiter=",", ndmin=2), power)
+    return "\n".join([header, *(",".join(map(repr, row))
+                                for row in table.tolist())]) + "\n"
+
+
 def digest_files(out_dir: Path, label: str, digests: dict) -> None:
     for path in sorted(out_dir.iterdir()):
         digests[f"{label}/{path.name}"] = sha256(path.read_bytes())
@@ -201,6 +216,13 @@ def failing_calls(vi, data: Path) -> dict:
         calls[f"overflow-{kind}"] = [
             "--mode", "simulate", "--kind", kind, "--beta", "1",
             "--grid", "0:400:64", "--output", str(data / "run")]
+    for kind in ("creep", "relaxation"):
+        calls[f"two-point-{kind}"] = [
+            "--mode", "simulate", "--kind", kind, "--grid", "0:1:2",
+            "--output", str(data / "run")]
+    (data / "two-times.csv").write_text("eps,0,1\n0.5,2,1.8\n1.0,4,3.6\n")
+    calls["two-time-isochrones"] = ["--mode", "identify", "--isochrones",
+                                    str(data / "two-times.csv")]
     for level in ("nan", "inf", "0", "-0.5"):
         calls[f"strain-level-{level}"] = ["--mode", "identify"] + knots + [
             "--strain-levels", f"1.5,{level}"]
@@ -287,6 +309,14 @@ def collect(vi, wl) -> dict:
                 "--lambda0", "1", "--q0", "1", "--sigma-over-H", "1",
                 "--eval-at-knots", "--no-timestamp",
             ], variant, digests)
+        for power in ISOCHRONE_SCALES:
+            path = Path(prefix + f"_2^{power}_isochrones.csv")
+            path.write_text(scaled_isochrones(Path(prefix + files[2]).read_text(),
+                                              power))
+            digest_reports(wl, vi.cli, [
+                "--mode", "identify", "--isochrones", str(path),
+                "--lambda0", "0.9", "--no-timestamp",
+            ], f"readme-2^{power}/isochrones-only", digests)
         for name, seed in itertools.product(WORKLOAD_NAMES, SEEDS):
             workload = wl.WORKLOADS[name]
             for op in itertools.islice(workload.ops(seed), OPS_PER_SEED):

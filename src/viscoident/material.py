@@ -133,13 +133,16 @@ def simulate_relaxation(kp: KernelParams, pl: PowerLaw, eps: float,
 
 def differentiate(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     """d(values)/dt on the grid, second order (central in the interior,
-    one-sided at the ends).
+    one-sided at the ends, which take three samples).
 
     On a grid too fine for the difference weights (their denominators,
     products of two spacings, underflow to zero) the derivative of a finite
     record comes out non-finite; that is a DomainError naming the spacing,
     and numpy's warnings stay silent.
     """
+    if len(times) < 3:
+        raise InsufficientDataError(
+            "need at least three samples to differentiate the record")
     with np.errstate(all="ignore"):
         rate = np.gradient(values, times, edge_order=2)
     if not np.all(np.isfinite(rate)) and np.all(np.isfinite(values)):
@@ -152,11 +155,8 @@ def differentiate(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def relaxation_kernel_from_history(hist: ResponseHistory, pl: PowerLaw,
                                    lam: float):
-    """Kernel samples R(t_j) = -(1/lam) * sigma'(t_j) / phi0(eps_const).
-
-    Differentiates the stress record with second-order finite differences
-    (central in the interior, one-sided at the ends).
-    """
+    """Kernel samples R(t_j) = -(1/lam) * sigma'(t_j) / phi0(eps_const), the
+    t = 0 row included; ``differentiate`` gives sigma'."""
     from .spline import KernelSamples  # local import to avoid a cycle
 
     if hist.kind != KIND_RELAXATION:
@@ -165,10 +165,6 @@ def relaxation_kernel_from_history(hist: ResponseHistory, pl: PowerLaw,
         )
     if lam == 0.0:
         raise DomainError("lambda must be nonzero to rescale the derivative")
-    if len(hist.times) < 3:
-        raise InsufficientDataError(
-            "need at least three samples to differentiate the record"
-        )
     dsigma = differentiate(hist.values, hist.times)
     values = -dsigma / (lam * phi0(pl, hist.driver))
     return KernelSamples(hist.times, values)

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, InsufficientDataError, ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .kernels import KernelParams, creep_kernel, relaxation_kernel
 from .material import (
     KIND_CREEP,
@@ -305,6 +305,12 @@ def write_isochrones_csv(path: str | Path, data: IsochroneDataset) -> None:
                  + fmt9_rows(np.column_stack((data.strain_levels, data.phi_t))))
 
 
+def _kernel_samples(times: np.ndarray, values: np.ndarray) -> KernelSamples:
+    """Kernel samples of a differentiated record less a t = 0 row (K is singular)."""
+    start = int(times[0] == 0.0)
+    return KernelSamples(times[start:], values[start:])
+
+
 def extract_creep_kernel_samples(hist: ResponseHistory,
                                  pl: PowerLaw) -> KernelSamples:
     """Kernel samples from a creep record via the similarity route.
@@ -312,18 +318,12 @@ def extract_creep_kernel_samples(hist: ResponseHistory,
     The similarity function is phi0(eps(t))/sigma; its time derivative is
     the hereditary memory lam*K(t), so the extracted samples carry the
     intensity scale (the intensity is not separately observable from one
-    creep record). Differentiation is second order; the t = 0 row is
-    dropped because the kernel is singular there.
+    creep record). Differentiation is second order.
     """
     if hist.kind != KIND_CREEP:
         raise ValidationError(f"need a {KIND_CREEP} history, got {hist.kind!r}")
-    if len(hist.times) < 3:
-        raise InsufficientDataError(
-            "need at least three history points to differentiate"
-        )
     s = phi0(pl, hist.values) / hist.driver
-    u = differentiate(s, hist.times)
-    return KernelSamples(hist.times[1:], u[1:])
+    return _kernel_samples(hist.times, differentiate(s, hist.times))
 
 
 def derive_samples_from_isochrones(iso: IsochroneDataset,
@@ -333,16 +333,11 @@ def derive_samples_from_isochrones(iso: IsochroneDataset,
     Like the creep-record route, the result carries the intensity scale
     inside the sample values.
     """
+    # imported per call: perfbench's layer tracer wraps spline.similarity_means
     from .spline import similarity_means
 
-    if len(iso.times) < 3:
-        raise InsufficientDataError(
-            "need at least three isochrone times to differentiate"
-        )
     s_bar = similarity_means(iso, pl0)
-    u = differentiate(s_bar, iso.times)
-    start = 1 if iso.times[0] == 0.0 else 0
-    return KernelSamples(iso.times[start:], u[start:])
+    return _kernel_samples(iso.times, differentiate(s_bar, iso.times))
 
 
 def _header(cfg: RunConfig, digests: dict) -> dict:
@@ -467,11 +462,8 @@ def _run_simulate(cfg: RunConfig) -> Report:
         model = creep_kernel(kp, samples.times).checked(samples.times)
         phi_inst = phi0(pl, hist.values)
         s_fun = phi_inst / cfg.sigma
-        iso = IsochroneDataset(
-            strain_levels=hist.values[1:],
-            times=hist.times[1:],
-            phi_t=phi_inst[1:, None] / s_fun[None, 1:],
-        )
+        iso = IsochroneDataset(hist.values[1:], hist.times[1:],
+                               phi_inst[1:, None] / s_fun[None, 1:])
         iso_path = base.parent / (base.name + "_isochrones.csv")
         write_isochrones_csv(iso_path, iso)
         outputs["isochrones"] = str(iso_path)
@@ -479,7 +471,7 @@ def _run_simulate(cfg: RunConfig) -> Report:
     elif cfg.kind == "relaxation":
         hist = simulate_relaxation(kp, pl, cfg.eps, grid)
         raw = relaxation_kernel_from_history(hist, pl, lam=1.0)
-        samples = KernelSamples(raw.times[1:], raw.values[1:])
+        samples = _kernel_samples(raw.times, raw.values)
         model = relaxation_kernel(kp, samples.times).checked(samples.times)
         value_header = "t,sigma"
     else:

@@ -159,21 +159,26 @@ def _delta(resid: np.ndarray, r_n: float, m: int) -> float:
 def _m_scan(samples: KernelSamples, segments: Spline, cfg: WeightConfig, t_eval,
             m_range) -> tuple[np.ndarray, np.ndarray, float, int, float]:
     """The pass and the m-scan over it: (model, residuals, r_n, m, delta), m
-    the first order of least delta; DomainError if no delta is finite."""
+    the first order of least delta; DomainError if that delta is not finite.
+    The orders are compared on the residuals over a power of two near the
+    largest, exactly rescaled so that no square over- or underflows."""
     orders = [replace(cfg, m=m).m for m in sorted(m_range)]  # validates each m
     if not orders:
         raise DomainError("m_range must be nonempty")
     model, resid, r_n = _stage1(samples, segments, cfg.lambda0, t_eval)
-    best_m, best_delta = None, math.inf
-    for m in orders:
-        d = _delta(resid, r_n, m)
-        if d < best_delta:
-            best_m, best_delta = m, d
-    if best_m is None:
+    k = math.frexp(np.max(np.abs(resid)))[1]
+    unit, unit_n = np.ldexp(resid, -k), math.ldexp(r_n, -k)
+    deltas = [_delta(unit, unit_n, m) for m in orders]
+    best = int(np.argmin(deltas))
+    try:
+        delta = math.ldexp(deltas[best], 2 * k)
+    except OverflowError:
+        delta = math.inf
+    if not delta < math.inf:  # NaN too: a residual is not finite
         raise DomainError(
             f"the weighted residuals overflow: delta is not finite at any m in "
             f"{orders} (largest |r_j| {np.max(np.abs(resid)):.3g})")
-    return model, resid, r_n, best_m, best_delta
+    return model, resid, r_n, orders[best], delta
 
 
 def _scale(values: np.ndarray, model: np.ndarray, w2) -> float:
@@ -187,14 +192,21 @@ def _scale(values: np.ndarray, model: np.ndarray, w2) -> float:
 
 
 def _gamma_scale(values: np.ndarray, model: np.ndarray, resid: np.ndarray) -> float:
-    """``_scale`` with the reciprocal-residual weights 1/r_j**2."""
+    """``_scale`` with the reciprocal-residual weights 1/r_j**2, on the
+    residuals over a power of two near the smallest and the values and model
+    over one near the largest model value: the same scale to the last bit,
+    and no square over- or underflows."""
     zero = np.nonzero(resid == 0.0)[0]
     if zero.size:
         raise PoleError(
             "residual is exactly zero; perturb lambda0 or drop the sample",
             sample_index=int(zero[0]) + 1,
         )
-    return _scale(values, model, 1.0 / np.abs(resid) ** 2)
+    e = math.frexp(np.min(np.abs(resid)))[1]
+    with np.errstate(over="ignore"):  # a residual that overflows weighs its limit 0
+        w2 = 1.0 / np.ldexp(resid, -e) ** 2
+    k = -math.frexp(np.max(np.abs(model)))[1]
+    return _scale(np.ldexp(values, k), np.ldexp(model, k), w2)
 
 
 def stage1_weights(samples: KernelSamples, segments: Spline,
@@ -262,7 +274,7 @@ def eta(spline: Spline, sigma: float, pl: PowerLaw, lambda_hat: float):
     if not 0.0 < sigma < math.inf:  # NaN fails too
         raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     value = sigma / pl.H * (1.0 + lambda_hat * integrate_segment_from_zero(spline))
-    bad = np.flatnonzero(value <= 0.0)
+    bad = np.flatnonzero(~(np.asarray(value) > 0.0))  # NaN fails too
     if bad.size:
         j = bad[0]
         raise InfeasibleEtaError(
@@ -338,12 +350,12 @@ def solve_q(eps: float, eta_j: float, q_bar: float) -> float:
 
     A one-pair call of the exponent stage of ``identify``.
     """
-    if eps <= 0.0:
-        raise DomainError(f"strain level must be > 0, got {eps}")
-    if eta_j <= 0.0:
-        raise InfeasibleEtaError(f"eta must be > 0, got {eta_j}")
-    if q_bar <= 0.0:
-        raise DomainError(f"q_bar must be > 0, got {q_bar}")
+    if not 0.0 < eps < math.inf:  # NaN fails too
+        raise DomainError(f"strain level must be finite and > 0, got {eps}")
+    if not 0.0 < eta_j < math.inf:
+        raise InfeasibleEtaError(f"eta must be finite and > 0, got {eta_j}")
+    if not 0.0 < q_bar < math.inf:
+        raise DomainError(f"q_bar must be finite and > 0, got {q_bar}")
     q = float(_exponent_roots(np.array([eps]), np.array([eta_j]))[0, 0])
     if not q <= q_bar:
         raise NoRootBracketError(f"no exponent root in (0, q_bar = {q_bar}]")

@@ -155,21 +155,20 @@ def similarity_means(data: IsochroneDataset, pl: PowerLaw) -> np.ndarray:
     sum_i [phi0(eps_i) - S_j * phi_t(eps_i, t_j)]**2 is
 
         S_j = sum_i phi0(eps_i) * phi_t(eps_i, t_j) / sum_i phi_t(eps_i, t_j)**2
+
+    Each column is divided by its largest magnitude c_j before it is
+    squared, so the sums neither overflow nor underflow at any data scale,
+    and a power-of-two rescaling of a column rescales S_j exactly.
     """
     phi_inst = phi0(pl, data.strain_levels)
-    with np.errstate(over="ignore"):
-        denom = np.sum(data.phi_t ** 2, axis=0)
-    bad = np.flatnonzero(denom == 0.0)
+    scale = np.max(np.abs(data.phi_t), axis=0)
+    bad = np.flatnonzero(scale == 0.0)
     if bad.size:
         raise DegenerateColumnError(
             f"isochrone column {bad[0] + 1} is identically zero"
         )
-    bad = np.flatnonzero(~np.isfinite(denom))
-    if bad.size:
-        raise DegenerateColumnError(
-            f"isochrone column {bad[0] + 1}: its sum of squares is not finite"
-        )
-    return (phi_inst @ data.phi_t) / denom
+    unit = data.phi_t / scale
+    return (phi_inst @ unit) / np.sum(unit ** 2, axis=0) / scale
 
 
 def fit_kernel_spline(samples: KernelSamples) -> Spline:
@@ -207,7 +206,7 @@ def eval_kernel_spline(spline: Spline, t):
     Segment j covers [t_j, t_{j+1}); the last knot belongs to the last one.
     """
     knots = spline.t
-    if np.any((t < knots[0]) | (t > knots[-1])):
+    if not np.all((t >= knots[0]) & (t <= knots[-1])):  # NaN fails too
         raise OutOfRangeError(
             f"t = {t} outside the fitted range [{knots[0]}, {knots[-1]}]"
         )

@@ -25,6 +25,7 @@ from viscoident import (
 )
 from viscoident.errors import ConvergenceError, DomainError, InsufficientDataError
 from viscoident.kernels import ABS_TOL, _antiderivative_grid
+from viscoident.material import differentiate
 
 # 200-term summation at 50 decimal digits (mpmath), frozen:
 #   1 - 0.1 * sum_n (-0.1)**n / Gamma(0.5*(1+n)+1)   (resolvent rate 0+0.1)
@@ -189,6 +190,12 @@ class TestKernelFromHistory:
         ok = ResponseHistory(t, 1.0 - 0.1 * t, KIND_RELAXATION, 1.0)
         with pytest.raises(DomainError):
             relaxation_kernel_from_history(ok, PowerLaw(1.0, 1.0), 0.0)
+
+    def test_two_samples_are_too_few_to_differentiate(self):
+        # the one-sided second-order ends need three samples
+        with pytest.raises(InsufficientDataError, match="^need at least three "
+                           "samples to differentiate the record$"):
+            differentiate(np.array([1.0, 0.9]), np.array([0.0, 1.0]))
 
 
 def four_grid_convolution(alpha, rate, times, values):

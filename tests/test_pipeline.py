@@ -361,6 +361,16 @@ class TestSampleDerivation:
         assert np.array_equal(derived.times, direct.times)
         assert derived.values == pytest.approx(direct.values, rel=1e-9)
 
+    def test_only_a_t0_row_is_dropped(self):
+        # the kernel is singular at t = 0 only
+        pl = v.PowerLaw(1.0, 1.0)
+        phi_t = np.array([[1.0, 0.9, 0.85, 0.82]])
+        for t0 in (0.0, 0.5):
+            times = t0 + np.arange(4.0)
+            iso = v.IsochroneDataset(np.array([1.0]), times, phi_t)
+            derived = derive_samples_from_isochrones(iso, pl)
+            assert np.array_equal(derived.times, times[times > 0.0])
+
 
 class TestReport:
     def test_json_round_trip_lossless(self, table1_file, tmp_path):
@@ -497,6 +507,27 @@ class TestRunModes:
         ratio = samples.values[inner] / model.values[inner]
         assert np.median(ratio) == pytest.approx(0.1, rel=0.02)
 
+    def test_isochrones_only_is_scale_free(self, tmp_path):
+        # strain levels and values divided by 2**560: unscaled, the squares
+        # would underflow; the derived samples are the same to the last bit
+        run(RunConfig(mode="simulate", grid=(0.0, 0.005, 64),
+                      output=str(tmp_path / "syn"), no_timestamp=True))
+        path = tmp_path / "syn_isochrones.csv"
+        iso = ingest_isochrones(path)
+        rows = np.ldexp(np.column_stack((iso.strain_levels, iso.phi_t)), -560)
+        scaled = tmp_path / "scaled.csv"
+        lines = ["eps," + ",".join(map(repr, iso.times.tolist()))]
+        lines += [",".join(map(repr, row)) for row in rows.tolist()]
+        scaled.write_text("\n".join(lines) + "\n")
+        pl0 = v.PowerLaw(1.0, 1.0)
+        assert np.array_equal(
+            derive_samples_from_isochrones(ingest_isochrones(scaled), pl0).values,
+            derive_samples_from_isochrones(iso, pl0).values)
+        for p in (path, scaled):
+            report = run(RunConfig(mode="identify", isochrones=str(p),
+                                   lambda0=0.9, no_timestamp=True))
+            assert report.result["lambda_hat"] == "0.910645659"
+
     def test_model_samples_grid_mismatch(self, tmp_path, table1_file):
         other = tmp_path / "other.csv"
         other.write_text("t,K\n0,1\n1,2\n")
@@ -586,16 +617,40 @@ class TestCli:
             "segment coefficients are not finite\n")
 
     def test_overflowing_isochrone_column(self, tmp_path, capsys):
-        # the squares of values near 1e200 overflow in the similarity means
-        path = tmp_path / "big.csv"
-        path.write_text("eps,0,1,2,3\n0.5,1e200,2e200,3e200,4e200\n"
-                        "1.0,2e200,3e200,4e200,5e200\n")
-        code = main(["--mode", "identify", "--isochrones", str(path),
-                     "--lambda0", "0.9"])
+        # the squares of values near 1e200 would overflow unscaled; the
+        # intensity and the weights are those of the matrix at unit scale
+        results = []
+        for exponent in ("e200", ""):
+            path = tmp_path / f"big{exponent}.csv"
+            path.write_text("eps,0,1,2,3\n0.5,1{0},2{0},3{0},4{0}\n"
+                            "1.0,2{0},3{0},4{0},5{0}\n".format(exponent))
+            code = main(["--mode", "identify", "--isochrones", str(path),
+                         "--lambda0", "0.9", "--json"])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            report = json.loads(captured.out)
+            results.append([report["result"][key] for key in
+                            ("lambda_hat", "lambda_ratio", "m_selected")]
+                           + [row["weight"] for row in report["tables"]["samples"]])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "simulate", "--kind", "creep", "--grid", "0:1:2"],
+        ["--mode", "simulate", "--kind", "relaxation", "--grid", "0:1:2"],
+        ["--mode", "identify", "--isochrones", "{iso}"],
+    ], ids=["creep", "relaxation", "isochrones"])
+    def test_two_samples_are_one_error_line(self, tmp_path, capsys, args):
+        iso = tmp_path / "iso.csv"
+        iso.write_text("eps,0,1\n0.5,2,1.8\n1.0,4,3.6\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([a.format(iso=iso) for a in args]
+                    + ["--output", str(out / "run")])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error(DegenerateColumnError): isochrone column 1: its sum of "
-            "squares is not finite\n")
+            "error(InsufficientDataError): need at least three samples to "
+            "differentiate the record\n")
+        assert list(out.iterdir()) == []
 
     def test_overflowing_weight_power_is_silent(self, tmp_path, capsys):
         # |r_j / r_n|**8 = 1e320 overflows: that sample's weight is its limit 0

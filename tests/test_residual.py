@@ -316,6 +316,10 @@ class TestEta:
             with pytest.raises(DomainError, match="^sigma must"):
                 eta(table1_segments[1], sigma, PowerLaw(1.0, 1.0), 1.0)
 
+    def test_nan_intensity_names_the_knot(self, table1_segments):
+        with pytest.raises(InfeasibleEtaError, match="^eta = nan at knot t = 0.0;"):
+            eta(table1_segments, 1.0, PowerLaw(1.0, 1.0), math.nan)
+
 
 class TestSolveQ:
     def test_linear_case(self):
@@ -354,6 +358,15 @@ class TestSolveQ:
             solve_q(1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             solve_q(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments(self, value):
+        with pytest.raises(DomainError, match="^strain level must be finite"):
+            solve_q(value, 1.0, 2.0)
+        with pytest.raises(InfeasibleEtaError, match="^eta must be finite"):
+            solve_q(0.5, value, 2.0)
+        with pytest.raises(DomainError, match="^q_bar must be finite"):
+            solve_q(0.5, 1.0, value)
 
     @given(
         st.floats(min_value=0.05, max_value=1.0),
@@ -548,6 +561,18 @@ class TestIdentify:
         assert abs(res.lambda_hat - 0.8) / 0.8 <= 0.05
         assert abs(res.q_hat - 1.5) / 1.5 <= 0.05
         assert not res.diagnostics["q_failures"]
+
+    @pytest.mark.parametrize("power", [-700, -1000])
+    def test_power_of_two_scale_is_exact(self, table1, power):
+        # unscaled, the squared residuals and model values would underflow;
+        # the scale and the m-scan see the same numbers
+        cfg = WeightConfig(lambda0=0.9, q0=1.0)
+        scaled = KernelSamples(table1.times, np.ldexp(table1.values, power))
+        base, res = (identify(s, fit_kernel_spline(s), None, cfg, sigma=1.0,
+                              pl0=PowerLaw(1.0, 1.0)) for s in (table1, scaled))
+        assert res.diagnostics["lambda_ratio"] == base.diagnostics["lambda_ratio"]
+        assert res.m_selected == base.m_selected
+        assert np.array_equal(res.weights, base.weights)
 
     def test_all_pairs_failing_raises(self, table1, table1_segments):
         cfg = WeightConfig(lambda0=0.9, q0=1.0)

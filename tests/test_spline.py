@@ -1,5 +1,7 @@
 """Segment fitting, evaluation, integration, similarity means, reference table."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -138,6 +140,11 @@ class TestEval:
         with pytest.raises(OutOfRangeError):
             eval_kernel_spline(table1_segments, 1050.1)
 
+    def test_nan_is_out_of_range(self, table1_segments):
+        for t in (math.nan, np.array([5.0, math.nan])):
+            with pytest.raises(OutOfRangeError):
+                eval_kernel_spline(table1_segments, t)
+
 
 class TestIntegrate:
     def test_zero_knot(self, table1_segments):
@@ -193,15 +200,37 @@ class TestSimilarityMeans:
             similarity_means(data, pl)
 
     def test_overflowing_column(self):
-        # column 2's sum of squares overflows; column 1 stays finite
+        # column 2's squares would overflow unscaled; its mean is
+        # (1*1e200 + 2*2e200) / (1e400 + 4e400) = 1e-200
         pl = PowerLaw(H=1.0, q=1.0)
         data = IsochroneDataset(
             np.array([1.0, 2.0]),
             np.array([0.0, 1.0]),
             np.array([[1.0, 1e200], [2.0, 2e200]]),
         )
-        with pytest.raises(DegenerateColumnError, match="^isochrone column 2: "):
-            similarity_means(data, pl)
+        assert similarity_means(data, pl) == pytest.approx([1.0, 1e-200],
+                                                           rel=1e-14)
+
+    def test_underflowing_column(self):
+        # the squares of 1e-170 underflow unscaled, as if the column were zero
+        pl = PowerLaw(H=1.0, q=1.0)
+        data = IsochroneDataset(
+            np.array([1.0, 2.0]),
+            np.array([0.0, 1.0]),
+            np.array([[1.0, 1e-170], [2.0, 2e-170]]),
+        )
+        assert similarity_means(data, pl) == pytest.approx([1.0, 1e170],
+                                                           rel=1e-14)
+
+    @pytest.mark.parametrize("power", [-560, 600])
+    def test_power_of_two_scale_is_exact(self, power):
+        pl = PowerLaw(H=1.3, q=1.5)
+        eps = np.array([0.5, 0.9, 1.4])
+        phi_t = np.array([[0.3, 0.29, 0.27], [0.7, 0.68, 0.61], [1.3, 1.2, 1.1]])
+        data = IsochroneDataset(eps, np.arange(3.0), phi_t)
+        scaled = IsochroneDataset(eps, data.times, np.ldexp(phi_t, power))
+        assert np.array_equal(similarity_means(scaled, pl),
+                              np.ldexp(similarity_means(data, pl), -power))
 
     @given(
         st.lists(st.floats(min_value=0.2, max_value=50.0), min_size=2, max_size=5),
