@@ -14,7 +14,9 @@ an isochrone file also runs on that file alone (samples derived from the
 matrix, lambda0 0.9), and the README identify also runs on copies of its
 input files with padded fields and with CRLF line ends. The isochrones-only
 identify also runs on the README isochrones with strain levels and values
-times 2**-560, 2**0 and 2**600, written exactly. It hashes
+times 2**-560, 2**0 and 2**600, written exactly. Simulate runs of both
+kinds on a grid whose times render in exponent notation and on one of
+integral times pin the time column the files share. It hashes
 (SHA-256) every file a simulate run writes, every ``--no-timestamp``
 report, text and JSON, the ``repr`` of every ``resolvent_mismatch`` (the
 stress-program operations, four operations of seeds 7, 16, 351 and 373
@@ -71,6 +73,8 @@ REWRITES = {
 }
 # powers of two scaling the README isochrones' strain levels and values
 ISOCHRONE_SCALES = (-560, 0, 600)
+# simulate grids whose times render in exponent notation and as integers
+SIMULATE_GRIDS = ("0:4e-05:9", "0:8:9")
 README_SIMULATE = [
     "--mode", "simulate", "--kind", "creep", "--alpha", "0.5", "--beta", "0",
     "--lam", "0.8", "--H", "1", "--q", "1.5", "--sigma", "1",
@@ -317,6 +321,13 @@ def collect(vi, wl) -> dict:
                 "--mode", "identify", "--isochrones", str(path),
                 "--lambda0", "0.9", "--no-timestamp",
             ], f"readme-2^{power}/isochrones-only", digests)
+        for kind, grid in itertools.product(("creep", "relaxation"),
+                                            SIMULATE_GRIDS):
+            out_dir = tmp / "grids" / kind / grid
+            out_dir.mkdir(parents=True)
+            wl.run_cli(vi.cli, ["--mode", "simulate", "--kind", kind,
+                                "--grid", grid, "--output", str(out_dir / "run")])
+            digest_files(out_dir, f"grid-{grid}/{kind}", digests)
         for name, seed in itertools.product(WORKLOAD_NAMES, SEEDS):
             workload = wl.WORKLOADS[name]
             for op in itertools.islice(workload.ops(seed), OPS_PER_SEED):

@@ -78,14 +78,15 @@ class ResponseHistory:
 
 def phi0(pl: PowerLaw, eps):
     """Instantaneous stress (H/q) * eps**q for eps >= 0, elementwise."""
-    _check_domain(eps, np.asarray(eps) < 0.0, "phi0 is undefined for negative strain")
+    _check_domain(eps, ~(np.asarray(eps) >= 0.0),  # NaN fails too
+                  "phi0 is undefined for negative or NaN strain")
     return pl.H / pl.q * eps ** pl.q
 
 
 def phi0_inverse(pl: PowerLaw, phi):
     """Strain (q*phi/H)**(1/q) for phi >= 0, elementwise; round-trips with phi0."""
-    _check_domain(phi, np.asarray(phi) < 0.0,
-                  "phi0 inverse is undefined for negative stress")
+    _check_domain(phi, ~(np.asarray(phi) >= 0.0),  # NaN fails too
+                  "phi0 inverse is undefined for negative or NaN stress")
     return (pl.q * phi / pl.H) ** (1.0 / pl.q)
 
 

@@ -14,12 +14,17 @@ table1     recompute the bundled reference table's segment coefficients
 validate   run the data invariant suite against an input file.
 
 Reports are deterministic: every number is printed with 9 significant
-digits and the timestamp can be suppressed. ``fmt9_rows`` renders a numeric
-table (a CSV file, the report's sample table) with one format call per
-table; ``fmt9`` renders scalars (result fields, the config echo, table1
-rows). A report keeps each table as its rendered rows, and the body of each
-input file is parsed with one numpy reader call; its rows are walked only
-to name the first malformed one.
+digits and the timestamp can be suppressed. Every value of a run is
+rendered once, with one format call per table: ``fmt9_rows`` renders a
+float matrix (the isochrone body), ``fmt9_column`` one float column as a
+list of fields, and ``fmt9_columns`` a table of mixed columns (the sample
+CSV files, the report's sample table), each a float array (``%.9g``), an
+integer array (``%d``) or a list of fields already rendered (``%s``).
+A simulate run renders its time grid once and every file it writes reuses
+those fields. ``fmt9`` renders scalars (result fields, the config echo,
+table1 rows). A report keeps each table as its rendered rows, and the body
+of each input file is parsed with one numpy reader call; its rows are
+walked only to name the first malformed one.
 """
 
 from __future__ import annotations
@@ -78,6 +83,37 @@ def fmt9_rows(table) -> str:
     nrows, ncols = arr.shape
     row_format = ",".join(["%.9g"] * ncols) + "\n"
     return (row_format * nrows) % tuple(arr.ravel().tolist())
+
+
+def fmt9_column(values) -> list[str]:
+    """The ``fmt9`` field of each value of a 1-d float array, rendered with
+    one ``%`` call."""
+    return fmt9_rows(np.reshape(values, (-1, 1))).splitlines()
+
+
+def fmt9_columns(columns) -> str:
+    """Equal-length columns as CSV text, rendered with one ``%`` call.
+
+    A column is a float array (``%.9g``), an integer array (``%d``, an
+    int's ``str``) or a list of fields already rendered (``%s``); every
+    field is the string ``fmt9`` gives for its value (for an integral float
+    below 1e9, the string ``%d`` gives). The argument list is interleaved by
+    slice assignment, with no Python loop per row.
+    """
+    nrows, ncols = len(columns[0]), len(columns)
+    args = [None] * (nrows * ncols)
+    formats = []
+    for i, col in enumerate(columns):
+        if isinstance(col, list) and col and isinstance(col[0], str):
+            formats.append("%s")
+        elif np.asarray(col).dtype.kind in "iu":
+            formats.append("%d")
+            col = np.asarray(col).tolist()
+        else:
+            formats.append("%.9g")
+            col = np.asarray(col, dtype=float).tolist()
+        args[i::ncols] = col  # a column of another length raises ValueError
+    return ((",".join(formats) + "\n") * nrows) % tuple(args)
 
 
 @dataclass
@@ -296,12 +332,17 @@ def ingest_isochrones(path: str | Path) -> IsochroneDataset:
 
 def write_samples_csv(path: str | Path, times, values,
                       header: str = "t,K") -> None:
-    write_output(path, header + "\n"
-                 + fmt9_rows(np.column_stack((times, values))))
+    """A (t, value) CSV file; ``times`` may be fields already rendered."""
+    write_output(path, header + "\n" + fmt9_columns((times, values)))
 
 
-def write_isochrones_csv(path: str | Path, data: IsochroneDataset) -> None:
-    write_output(path, "eps," + fmt9_rows([data.times])
+def write_isochrones_csv(path: str | Path, data: IsochroneDataset,
+                         time_fields: list[str] | None = None) -> None:
+    """An isochrone CSV file; ``time_fields`` are the rendered ``data.times``
+    when the caller has them."""
+    if time_fields is None:
+        time_fields = fmt9_column(data.times)
+    write_output(path, "eps," + ",".join(time_fields) + "\n"
                  + fmt9_rows(np.column_stack((data.strain_levels, data.phi_t))))
 
 
@@ -431,14 +472,13 @@ def _run_identify(cfg: RunConfig) -> Report:
         "model_reference": str(model_ref),
         "q_pairs_failed": str(len(result.diagnostics.get("q_failures", []))),
     }
-    table = np.column_stack((
-        np.arange(1, len(samples) + 1), samples.times, samples.values,
-        result.diagnostics["model_values"], result.weights,
-        result.diagnostics["residuals"],
-    ))
     report.tables["samples"] = Table(
         ("j", "t", "K", "model", "weight", "residual"),
-        fmt9_rows(table),
+        fmt9_columns((
+            np.arange(1, len(samples) + 1), samples.times, samples.values,
+            result.diagnostics["model_values"], result.weights,
+            result.diagnostics["residuals"],
+        )),
     )
     return report
 
@@ -455,7 +495,7 @@ def _run_simulate(cfg: RunConfig) -> Report:
     grid = np.linspace(start, stop, int(count))
     base = Path(cfg.output)
 
-    outputs = {}
+    iso = None
     if cfg.kind == "creep":
         hist = simulate_creep(kp, pl, cfg.sigma, grid)
         samples = extract_creep_kernel_samples(hist, pl)
@@ -464,9 +504,6 @@ def _run_simulate(cfg: RunConfig) -> Report:
         s_fun = phi_inst / cfg.sigma
         iso = IsochroneDataset(hist.values[1:], hist.times[1:],
                                phi_inst[1:, None] / s_fun[None, 1:])
-        iso_path = base.parent / (base.name + "_isochrones.csv")
-        write_isochrones_csv(iso_path, iso)
-        outputs["isochrones"] = str(iso_path)
         value_header = "t,eps"
     elif cfg.kind == "relaxation":
         hist = simulate_relaxation(kp, pl, cfg.eps, grid)
@@ -477,12 +514,22 @@ def _run_simulate(cfg: RunConfig) -> Report:
     else:
         raise ValidationError(f"unknown simulate kind {cfg.kind!r}")
 
+    # The simulators' grid starts at t = 0 (material._check_grid) and
+    # _kernel_samples drops exactly that row, so the sample and isochrone
+    # times are hist.times[1:]: each time is rendered once, for every file.
+    time_fields = fmt9_column(hist.times)
+    sample_fields = time_fields[1:]
+    outputs = {}
+    if iso is not None:
+        iso_path = base.parent / (base.name + "_isochrones.csv")
+        write_isochrones_csv(iso_path, iso, sample_fields)
+        outputs["isochrones"] = str(iso_path)
     hist_path = base.parent / (base.name + "_history.csv")
     samp_path = base.parent / (base.name + "_kernel_samples.csv")
     model_path = base.parent / (base.name + "_model_samples.csv")
-    write_samples_csv(hist_path, hist.times, hist.values, header=value_header)
-    write_samples_csv(samp_path, samples.times, samples.values)
-    write_samples_csv(model_path, samples.times, model)
+    write_samples_csv(hist_path, time_fields, hist.values, header=value_header)
+    write_samples_csv(samp_path, sample_fields, samples.values)
+    write_samples_csv(model_path, sample_fields, model)
     outputs["history"] = str(hist_path)
     outputs["kernel_samples"] = str(samp_path)
     outputs["model_samples"] = str(model_path)

@@ -58,6 +58,7 @@ from .errors import (
     NoRootError,
     PoleError,
 )
+from .kernels import _check_domain
 from .material import PowerLaw
 from .spline import (
     IsochroneDataset,
@@ -123,7 +124,7 @@ def _stage1(samples: KernelSamples, segments: Spline, lambda0: float, t_eval,
     """The one spline pass: model values K_j(t_eval_j), residuals
     r_j = K(t_j) - lambda0*K_j(t_eval_j) and the terminal residual r_n (the
     last segment at t_star), checking one segment, evaluation time and any
-    weight per sample."""
+    finite weight per sample; DomainError if lambda0*K_j is not finite."""
     n = len(samples)
     if len(segments) != n:
         raise DomainError(f"need one segment per sample ({n}), got {len(segments)}")
@@ -131,9 +132,16 @@ def _stage1(samples: KernelSamples, segments: Spline, lambda0: float, t_eval,
         if arg is not None and np.shape(arg) != (n,):
             raise DomainError(f"need one {name} per sample ({n}), "
                               f"got shape {np.shape(arg)}")
+    if weights is not None:
+        _check_domain(weights, ~np.isfinite(weights), "weights must be finite")
     model = segments.value(t_eval)
-    r_n = float(samples.values[-1] - lambda0 * segments[-1].value(samples.t_star))
-    return model, samples.values - lambda0 * model, r_n
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        r_n = float(samples.values[-1] - lambda0 * segments[-1].value(samples.t_star))
+        resid = samples.values - lambda0 * model
+    if not (math.isfinite(r_n) and np.all(np.isfinite(resid))):
+        raise DomainError(f"a residual is not finite at lambda0 = {lambda0:.9g}: "
+                          "lambda0 * K_j must be finite")
+    return model, resid, r_n
 
 
 def _moment_weights(resid: np.ndarray, r_n: float, m: int) -> np.ndarray:
@@ -174,7 +182,7 @@ def _m_scan(samples: KernelSamples, segments: Spline, cfg: WeightConfig, t_eval,
         delta = math.ldexp(deltas[best], 2 * k)
     except OverflowError:
         delta = math.inf
-    if not delta < math.inf:  # NaN too: a residual is not finite
+    if not delta < math.inf:
         raise DomainError(
             f"the weighted residuals overflow: delta is not finite at any m in "
             f"{orders} (largest |r_j| {np.max(np.abs(resid)):.3g})")

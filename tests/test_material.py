@@ -55,6 +55,15 @@ class TestPowerLaw:
         with pytest.raises(DomainError, match=r"got -3\.0$"):
             phi0_inverse(PowerLaw(1.0, 1.5), np.array([[1.0, -3.0], [0.5, -0.1]]))
 
+    @pytest.mark.parametrize("arg", [math.nan, np.array([1.0, math.nan, -0.1])],
+                             ids=["scalar", "array"])
+    def test_nan_arguments_rejected(self, arg):
+        # NaN fails the domain test as a negative argument does, naming it
+        with pytest.raises(DomainError, match="got nan$"):
+            phi0(PowerLaw(1.0, 1.5), arg)
+        with pytest.raises(DomainError, match="got nan$"):
+            phi0_inverse(PowerLaw(1.0, 1.5), arg)
+
     def test_parameter_validation(self):
         for bad in (0.0, -2.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="^H must"):

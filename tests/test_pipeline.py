@@ -18,6 +18,7 @@ from viscoident.pipeline import (
     derive_samples_from_isochrones,
     extract_creep_kernel_samples,
     fmt9,
+    fmt9_columns,
     fmt9_rows,
     ingest_isochrones,
     ingest_kernel_samples,
@@ -112,6 +113,29 @@ def float_tables(draw):
         max_size=6,
     ))
     return np.array(rows, dtype=float).reshape(len(rows), ncols)
+
+
+@st.composite
+def mixed_columns(draw):
+    """Equal-length columns, each an integer array (|j| <= 999,999,999), a
+    float array or a list of ``fmt9`` fields, with the values of each."""
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    floats = st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+                      min_size=nrows, max_size=nrows)
+    ints = st.lists(st.integers(min_value=-999_999_999, max_value=999_999_999),
+                    min_size=nrows, max_size=nrows)
+    columns, values = [], []
+    for kind in draw(st.lists(st.sampled_from(["int", "float", "text"]),
+                              min_size=1, max_size=6)):
+        vals = draw(ints if kind == "int" else floats)
+        if kind == "int":
+            columns.append(np.array(vals, dtype=np.int64))
+        elif kind == "float":
+            columns.append(np.array(vals, dtype=float))
+        else:
+            columns.append([fmt9(x) for x in vals])
+        values.append(vals)
+    return columns, values
 
 
 @st.composite
@@ -403,6 +427,23 @@ class TestReport:
     def test_table_rows_empty(self):
         assert fmt9_rows(np.empty((0, 3))) == ""
 
+    @given(mixed_columns())
+    def test_mixed_columns_match_scalar_rendering(self, case):
+        columns, values = case
+        assert fmt9_columns(columns) == "".join(
+            ",".join(fmt9(col[i]) for col in values) + "\n"
+            for i in range(len(values[0])))
+        # below 1e9 an integer's %d is the %.9g of the same integral float
+        for col in columns:
+            if isinstance(col, np.ndarray) and col.dtype == np.int64:
+                assert fmt9_columns([col]) == fmt9_rows(col[:, None])
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(ValueError):
+            fmt9_columns((np.arange(3), np.ones(2)))
+        with pytest.raises(ValueError):
+            fmt9_columns((["1", "2"], np.ones(3)))
+
     @pytest.mark.parametrize("mode", ["identify", "table1", "validate"])
     def test_json_tables_are_row_dicts(self, table1_file, mode):
         report = run(RunConfig(mode=mode, input=str(table1_file), lambda0=0.9,
@@ -456,6 +497,25 @@ class TestRunModes:
             [fmt9(j), fmt9(t), fmt9(k)]
             for j, (t, k) in enumerate(zip(table1.times, table1.values), 1)
         ]
+
+    @pytest.mark.parametrize("kind", ["creep", "relaxation"])
+    @pytest.mark.parametrize("grid", [(0.0, 4e-5, 9), (0.0, 8.0, 9)],
+                             ids=["exponent", "integral"])
+    def test_one_time_column(self, tmp_path, kind, grid):
+        # every file a simulate run writes shows a time as the history does:
+        # the grid starts at 0 and the samples drop exactly that row
+        run(RunConfig(mode="simulate", kind=kind, grid=grid,
+                      output=str(tmp_path / "run"), no_timestamp=True))
+
+        def lines(name):
+            return (tmp_path / f"run_{name}.csv").read_text().splitlines()
+
+        history = [line.split(",")[0] for line in lines("history")[1:]]
+        assert history == [fmt9(t) for t in np.linspace(*grid)]
+        for name in ("kernel_samples", "model_samples"):
+            assert [line.split(",")[0] for line in lines(name)[1:]] == history[1:]
+        if kind == "creep":
+            assert lines("isochrones")[0].split(",")[1:] == history[1:]
 
     def test_table1_mode_flags(self):
         report = run(RunConfig(mode="table1", no_timestamp=True))
@@ -603,6 +663,17 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error(DomainError): the weighted residuals overflow: delta is not "
             "finite at any m in [2, 3, 4, 5, 6, 7, 8] (largest |r_j| 4.75e+159)\n")
+
+    def test_overflowing_lambda0(self, tmp_path, capsys):
+        # lambda0 * K_j overflows: one error line, no numpy warning before it
+        path = tmp_path / "steps.csv"
+        path.write_text("t,K\n1,10\n2,8\n3,7\n4,6\n")
+        code = main(["--mode", "identify", "--input", str(path),
+                     "--lambda0", "1e308"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error(DomainError): a residual is not finite at lambda0 = 1e+308: "
+            "lambda0 * K_j must be finite\n")
 
     @pytest.mark.parametrize("mode", [["validate"], ["identify", "--lambda0", "0.9"]])
     def test_underflowing_spline_denominator(self, tmp_path, capsys, mode):

@@ -687,3 +687,33 @@ def test_one_entry_per_sample(table1, table1_segments, name, broken, cut):
     args[broken] = args[broken][slice(-1) if cut == "short" else (slice(None), None)]
     with pytest.raises(DomainError, match=f"^need one {broken} per sample \\(16\\)"):
         call(table1, args["segment"], args["weight"], args["evaluation time"])
+
+
+@pytest.mark.parametrize("name", ["omega", "lambda_closed_form"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights(table1, table1_segments, name, bad):
+    # a non-finite weight is a DomainError, not a NaN estimate
+    weights = np.ones(len(table1))
+    weights[3] = bad
+    with pytest.raises(DomainError, match=f"^weights must be finite, got {bad}$"):
+        PER_SAMPLE_CALLS[name](table1, table1_segments, weights,
+                               segment_eval_times(table1))
+    with pytest.raises(DomainError, match="^weights must be finite, got nan$"):
+        PER_SAMPLE_CALLS[name](table1, table1_segments, np.full(16, math.nan),
+                               segment_eval_times(table1))
+
+
+@pytest.mark.parametrize("stage", [
+    lambda d, s, cfg, t: omega(d, s, np.ones(len(d)), cfg.lambda0, t),
+    stage1_weights, residual_delta, select_moment_order, lambda_gamma_form,
+    lambda d, s, cfg, t: identify(d, s, None, cfg, sigma=1.0,
+                                  pl0=PowerLaw(1.0, 1.0)),
+], ids=["omega", "stage1_weights", "residual_delta", "select_moment_order",
+        "lambda_gamma_form", "identify"])
+def test_overflowing_lambda0(table1, table1_segments, stage):
+    # lambda0 * K_j overflows: one DomainError and no numpy warning (the
+    # suite turns RuntimeWarnings into errors)
+    with pytest.raises(DomainError, match=r"^a residual is not finite at "
+                       r"lambda0 = 1e\+308: lambda0 \* K_j must be finite$"):
+        stage(table1, table1_segments, WeightConfig(lambda0=1e308),
+              segment_eval_times(table1))
