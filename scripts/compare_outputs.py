@@ -19,8 +19,8 @@ kinds on a grid whose times render in exponent notation and on one of
 integral times pin the time column the files share. It hashes
 (SHA-256) every file a simulate run writes, every ``--no-timestamp``
 report, text and JSON, the ``repr`` of every ``resolvent_mismatch`` (the
-stress-program operations, four operations of seeds 7, 16, 351 and 373
-whose mismatch is above the bound, and the benchmark reference gate's
+stress-program operations, five operations of seeds 7, 16, 351, 373 and
+610 whose mismatch is above the bound, and the benchmark reference gate's
 constant stress on 256 points) and the ``hereditary_convolution`` of one
 non-uniform 256-point grid. It also hashes the ``--help`` text, the exit code
 and the first line of stderr of each failing call of the CLI and ingestion
@@ -52,7 +52,7 @@ SEEDS = (1, 2, 3)
 OPS_PER_SEED = 3
 # stress-program operations (seed, index) whose under-resolved programs put
 # the mismatch above the criterion-5 bound
-OVER_BOUND_OPS = ((7, 184), (16, 56), (351, 31), (373, 14))
+OVER_BOUND_OPS = ((7, 184), (16, 56), (351, 31), (373, 14), (610, 672))
 # malformed inputs of the ingestion tests: (ingester option, file text)
 MALFORMED = {
     "samples-header-only": ("--input", "t,K\n"),
@@ -64,6 +64,9 @@ MALFORMED = {
     "iso-trailing-comma": ("--isochrones", "eps,0,1\n0.5,2,1.8,\n"),
     "iso-ragged": ("--isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4\n"),
     "iso-nonpositive": ("--isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4,0\n"),
+    "iso-non-finite-value": ("--isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4,nan\n"),
+    "iso-non-finite-level": ("--isochrones", "eps,0,1\n0.5,2,1.8\nnan,4,3.6\n"),
+    "iso-non-finite-time": ("--isochrones", "eps,0,inf\n0.5,2,1.8\n1.0,4,3.6\n"),
 }
 # rewritings of an input file that ingestion must accept as the same data
 REWRITES = {

@@ -15,23 +15,29 @@ validate   run the data invariant suite against an input file.
 
 Reports are deterministic: every number is printed with 9 significant
 digits and the timestamp can be suppressed. Every value of a run is
-rendered once, with one format call per table: ``fmt9_rows`` renders a
-float matrix (the isochrone body), ``fmt9_column`` one float column as a
-list of fields, and ``fmt9_columns`` a table of mixed columns (the sample
-CSV files, the report's sample table), each a float array (``%.9g``), an
-integer array (``%d``) or a list of fields already rendered (``%s``).
-A simulate run renders its time grid once and every file it writes reuses
-those fields. ``fmt9`` renders scalars (result fields, the config echo,
-table1 rows). A report keeps each table as its rendered rows, and the body
-of each input file is parsed with one numpy reader call; its rows are
-walked only to name the first malformed one.
+rendered once, in row blocks of at most ``BLOCK_FIELDS`` fields with one
+format call per block, so a table of any size holds only one block's
+Python floats, argument tuple and text at a time: ``fmt9_rows`` renders a
+float matrix (the isochrone body), ``fmt9_columns`` a table of mixed
+columns (the sample CSV files, the report's sample table), each a float
+array (``%.9g``), an integer array (``%d``) or a list of fields already
+rendered (``%s``), and ``fmt9_column`` one float column as a list of
+fields. The CSV writers stream a header and the blocks through one open
+file; the report's sample table joins its blocks. A simulate run renders
+its time grid once and every file it writes reuses those fields. ``fmt9``
+renders scalars (result fields, the config echo, table1 rows). A report
+keeps each table as its rendered rows. Each input file is read once, for
+its text and its digest, and its body is parsed with one numpy reader
+call; its rows are walked only to name the first malformed one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import locale
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -71,49 +77,86 @@ def fmt9(x) -> str:
     return f"{float(x):.9g}"
 
 
-def fmt9_rows(table) -> str:
-    """A 2-d numeric table as CSV text: comma-joined ``fmt9`` fields, one
-    newline-terminated line per row, rendered with one ``%`` call.
+# Fields per format call: bounds a render's transient floats, argument tuple
+# and text, whatever the size of the table.
+BLOCK_FIELDS = 16384
 
+
+def _block_starts(nrows: int, ncols: int) -> range:
+    """The first row of each block: a block holds as many whole rows as
+    ``BLOCK_FIELDS`` fields allow, and at least one."""
+    return range(0, nrows, max(1, BLOCK_FIELDS // max(ncols, 1)))
+
+
+def fmt9_rows(*tables) -> Iterator[str]:
+    """Numeric tables side by side as CSV text blocks: comma-joined ``fmt9``
+    fields, one newline-terminated line per row, one ``%`` call per block.
+
+    Each table is a 2-d array or a 1-d array (one column), as in
+    ``np.column_stack``, which joins them one block at a time; tables of
+    unequal row counts raise ValueError here, before any block is rendered.
     ``"%.9g" % x`` and ``f"{x:.9g}"`` share one correctly rounded float
     formatter, so every field is the string ``fmt9`` gives for a float
     (for an integral float below 1e9, the string it gives for the int).
     """
-    arr = np.asarray(table, dtype=float)
-    nrows, ncols = arr.shape
+    arrs = [np.asarray(t, dtype=float) for t in tables]
+    nrows = len(arrs[0])
+    if any(len(a) != nrows for a in arrs):
+        raise ValueError("tables differ in row count")
+    ncols = sum(1 if a.ndim == 1 else a.shape[1] for a in arrs)
     row_format = ",".join(["%.9g"] * ncols) + "\n"
-    return (row_format * nrows) % tuple(arr.ravel().tolist())
+    starts = _block_starts(nrows, ncols)
+
+    def blocks():
+        for start in starts:
+            block = np.column_stack([a[start:start + starts.step] for a in arrs])
+            yield (row_format * len(block)) % tuple(block.ravel().tolist())
+
+    return blocks()
 
 
 def fmt9_column(values) -> list[str]:
-    """The ``fmt9`` field of each value of a 1-d float array, rendered with
-    one ``%`` call."""
-    return fmt9_rows(np.reshape(values, (-1, 1))).splitlines()
+    """The ``fmt9`` field of each value of a 1-d float array."""
+    return "".join(fmt9_rows(values)).splitlines()
 
 
-def fmt9_columns(columns) -> str:
-    """Equal-length columns as CSV text, rendered with one ``%`` call.
+def fmt9_columns(columns) -> Iterator[str]:
+    """Equal-length columns as CSV text blocks, one ``%`` call per block.
 
     A column is a float array (``%.9g``), an integer array (``%d``, an
     int's ``str``) or a list of fields already rendered (``%s``); every
     field is the string ``fmt9`` gives for its value (for an integral float
-    below 1e9, the string ``%d`` gives). The argument list is interleaved by
-    slice assignment, with no Python loop per row.
+    below 1e9, the string ``%d`` gives). Columns of unequal length raise
+    ValueError here, before any block is rendered. Each block's argument
+    list is interleaved by slice assignment, with no Python loop per row.
     """
     nrows, ncols = len(columns[0]), len(columns)
-    args = [None] * (nrows * ncols)
-    formats = []
-    for i, col in enumerate(columns):
+    if any(len(col) != nrows for col in columns):
+        raise ValueError("columns differ in length")
+    formats, cols = [], []
+    for col in columns:
         if isinstance(col, list) and col and isinstance(col[0], str):
             formats.append("%s")
         elif np.asarray(col).dtype.kind in "iu":
             formats.append("%d")
-            col = np.asarray(col).tolist()
+            col = np.asarray(col)
         else:
             formats.append("%.9g")
-            col = np.asarray(col, dtype=float).tolist()
-        args[i::ncols] = col  # a column of another length raises ValueError
-    return ((",".join(formats) + "\n") * nrows) % tuple(args)
+            col = np.asarray(col, dtype=float)
+        cols.append(col)
+    row_format = ",".join(formats) + "\n"
+    starts = _block_starts(nrows, ncols)
+
+    def blocks():
+        for start in starts:
+            stop = min(start + starts.step, nrows)
+            args = [None] * ((stop - start) * ncols)
+            for i, col in enumerate(cols):
+                part = col[start:stop]
+                args[i::ncols] = part if isinstance(part, list) else part.tolist()
+            yield (row_format * (stop - start)) % tuple(args)
+
+    return blocks()
 
 
 @dataclass
@@ -211,26 +254,37 @@ class Report:
         return "".join(parts)
 
 
-def _digest(path: str | Path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read_input(path: Path) -> tuple[list[str], str]:
+    """The lines of an input file and the SHA-256 digest of its bytes, from
+    one read; failing to read or decode it is a ParseError.
 
-
-def _read_input(path: Path) -> str:
-    """The text of an input file; failing to read it is a ParseError."""
+    The bytes are decoded with ``open``'s default encoding, as
+    ``Path.read_text`` does; ``splitlines`` ends a line at CRLF, CR or LF,
+    which gives the lines that its newline translation would.
+    """
     try:
-        return path.read_text()
+        data = path.read_bytes()
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    digest = "sha256:" + hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode(locale.getpreferredencoding(False))
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not a text file") from None
+    del data  # so the peak holds two copies of the file (text, lines), not three
+    return text.splitlines(), digest
 
 
-def write_output(path: str | Path, text: str) -> None:
-    """Write one output file; failing to write it is a ValidationError."""
+def write_output(path: str | Path, text: str,
+                 blocks: Iterable[str] = ()) -> None:
+    """Write one output file, ``text`` then each of ``blocks`` in turn;
+    failing to write it is a ValidationError."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.write(text)
+            out.writelines(blocks)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -274,15 +328,17 @@ def _row_error(lines: list[str], header: bool,
     raise AssertionError("no malformed row in a table that failed to parse")
 
 
-def ingest_kernel_samples(path: str | Path) -> KernelSamples:
-    """Read comma-separated (t, K) rows, optional header, into samples.
+def ingest_kernel_samples(path: str | Path, *, with_digest: bool = False
+                          ) -> KernelSamples | tuple[KernelSamples, str]:
+    """Read comma-separated (t, K) rows, optional header, into samples;
+    with ``with_digest``, return (samples, digest of the file's bytes).
 
     Blank lines are skipped, a first line that is not numeric is a header
     and an index column (j, t, K) is dropped; every data row must have the
     width of the first one.
     """
     path = Path(path)
-    lines = _read_input(path).splitlines()
+    lines, digest = _read_input(path)
     rows = list(filter(str.strip, lines))
     header = bool(rows) and _parse_table(rows[:1]) is None
     if header:
@@ -304,13 +360,16 @@ def ingest_kernel_samples(path: str | Path) -> KernelSamples:
             f"{arr_t[bad + 1]}",
             row=_line_numbers(lines)[header + bad + 1],
         )
-    return KernelSamples(arr_t, arr_v)
+    samples = KernelSamples(arr_t, arr_v)
+    return (samples, digest) if with_digest else samples
 
 
-def ingest_isochrones(path: str | Path) -> IsochroneDataset:
-    """Read an isochrone matrix: header row of times, strain-level rows."""
+def ingest_isochrones(path: str | Path, *, with_digest: bool = False
+                      ) -> IsochroneDataset | tuple[IsochroneDataset, str]:
+    """Read an isochrone matrix: header row of times, strain-level rows;
+    with ``with_digest``, return (data, digest of the file's bytes)."""
     path = Path(path)
-    lines = _read_input(path).splitlines()
+    lines, digest = _read_input(path)
     rows = list(filter(str.strip, lines))
     if len(rows) < 2:
         raise ParseError(f"{path}: need a time header plus strain rows")
@@ -319,21 +378,31 @@ def ingest_isochrones(path: str | Path) -> IsochroneDataset:
     if head is None:
         raise ParseError("time header holds a non-numeric field",
                          row=lines.index(rows[0]) + 1)
+    if not np.all(np.isfinite(head)):
+        raise ValidationError("non-finite isochrone time",
+                              row=lines.index(rows[0]) + 1)
     table = _parse_table(rows[1:])
     if table is None or table.shape[1] != head.shape[1]:
         raise _row_error(lines, header=True, width=head.shape[1])
+    finite = np.isfinite(table)
+    if not np.all(finite):
+        bad = int(np.nonzero(~np.all(finite, axis=1))[0][0])
+        what = "isochrone value" if finite[bad, 0] else "strain level"
+        raise ValidationError(f"non-finite {what}",
+                              row=_line_numbers(lines)[bad + 1])
     m = table[:, 1:].copy()
     if np.any(m <= 0.0):
         bad = int(np.nonzero(np.any(m <= 0.0, axis=1))[0][0])
         raise ValidationError("nonpositive isochrone value",
                               row=_line_numbers(lines)[bad + 1])
-    return IsochroneDataset(table[:, 0].copy(), head[0, 1:], m)
+    data = IsochroneDataset(table[:, 0].copy(), head[0, 1:], m)
+    return (data, digest) if with_digest else data
 
 
 def write_samples_csv(path: str | Path, times, values,
                       header: str = "t,K") -> None:
     """A (t, value) CSV file; ``times`` may be fields already rendered."""
-    write_output(path, header + "\n" + fmt9_columns((times, values)))
+    write_output(path, header + "\n", fmt9_columns((times, values)))
 
 
 def write_isochrones_csv(path: str | Path, data: IsochroneDataset,
@@ -342,8 +411,8 @@ def write_isochrones_csv(path: str | Path, data: IsochroneDataset,
     when the caller has them."""
     if time_fields is None:
         time_fields = fmt9_column(data.times)
-    write_output(path, "eps," + ",".join(time_fields) + "\n"
-                 + fmt9_rows(np.column_stack((data.strain_levels, data.phi_t))))
+    write_output(path, "eps," + ",".join(time_fields) + "\n",
+                 fmt9_rows(data.strain_levels, data.phi_t))
 
 
 def _kernel_samples(times: np.ndarray, values: np.ndarray) -> KernelSamples:
@@ -424,8 +493,8 @@ def _config_echo(cfg: RunConfig) -> dict:
 def _run_identify(cfg: RunConfig) -> Report:
     digests = {}
     if cfg.input:
-        samples = ingest_kernel_samples(cfg.input)
-        digests["samples"] = _digest(cfg.input)
+        samples, digests["samples"] = ingest_kernel_samples(
+            cfg.input, with_digest=True)
     elif cfg.isochrones:
         samples = None
     else:
@@ -433,8 +502,8 @@ def _run_identify(cfg: RunConfig) -> Report:
 
     iso = None
     if cfg.isochrones:
-        iso = ingest_isochrones(cfg.isochrones)
-        digests["isochrones"] = _digest(cfg.isochrones)
+        iso, digests["isochrones"] = ingest_isochrones(
+            cfg.isochrones, with_digest=True)
 
     sigma_over_h = cfg.sigma_over_h if cfg.sigma_over_h is not None else 1.0
     wcfg = WeightConfig(lambda0=cfg.lambda0, q0=cfg.q0, gamma=cfg.gamma)
@@ -444,8 +513,8 @@ def _run_identify(cfg: RunConfig) -> Report:
 
     model_ref = False
     if cfg.model_samples:
-        ref = ingest_kernel_samples(cfg.model_samples)
-        digests["model_samples"] = _digest(cfg.model_samples)
+        ref, digests["model_samples"] = ingest_kernel_samples(
+            cfg.model_samples, with_digest=True)
         if not np.array_equal(ref.times, samples.times):
             raise ValidationError(
                 "model sample times must match the data sample times"
@@ -474,11 +543,11 @@ def _run_identify(cfg: RunConfig) -> Report:
     }
     report.tables["samples"] = Table(
         ("j", "t", "K", "model", "weight", "residual"),
-        fmt9_columns((
+        "".join(fmt9_columns((
             np.arange(1, len(samples) + 1), samples.times, samples.values,
             result.diagnostics["model_values"], result.weights,
             result.diagnostics["residuals"],
-        )),
+        ))),
     )
     return report
 
@@ -544,8 +613,8 @@ def _run_simulate(cfg: RunConfig) -> Report:
 def _run_table1(cfg: RunConfig) -> Report:
     digests = {}
     if cfg.input:
-        samples = ingest_kernel_samples(cfg.input)
-        digests["samples"] = _digest(cfg.input)
+        samples, digests["samples"] = ingest_kernel_samples(
+            cfg.input, with_digest=True)
     else:
         samples = table1_fixture()
     comparison = compare_table1(samples)
@@ -569,7 +638,7 @@ def _run_table1(cfg: RunConfig) -> Report:
 def _run_validate(cfg: RunConfig) -> Report:
     if not cfg.input:
         raise ValidationError("validate needs --input")
-    samples = ingest_kernel_samples(cfg.input)
+    samples, digest = ingest_kernel_samples(cfg.input, with_digest=True)
     checks = []
 
     def check(name, ok, detail=""):
@@ -587,7 +656,7 @@ def _run_validate(cfg: RunConfig) -> Report:
     check("first-segment-flat", spline.twoC[0] == 0.0 and spline.threeD[0] == 0.0)
 
     report = Report(
-        header=_header(cfg, {"samples": _digest(cfg.input)}),
+        header=_header(cfg, {"samples": digest}),
         config=_config_echo(cfg),
     )
     failed = [name for name, status, _ in checks if status == "FAIL"]

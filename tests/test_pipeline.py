@@ -1,8 +1,10 @@
 """Ingestion, run modes, report serialization, CLI contract."""
 
+import hashlib
 import json
 import warnings
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import viscoident as v
+import viscoident.pipeline as pipeline
 from viscoident.cli import build_parser, main
 from viscoident.errors import ParseError, ValidationError, ViscoidentError
 from viscoident.pipeline import (
@@ -91,6 +94,12 @@ INGEST_CASES = {
     "iso-nonpositive-after-blank": ("isochrones", "eps,0,1\n\n0.5,2,0\n",
                                     ValidationError, 3,
                                     "nonpositive isochrone value"),
+    "iso-non-finite-value": ("isochrones", "eps,0,1\n0.5,2,1.8\n\n1.0,4,nan\n",
+                             ValidationError, 4, "non-finite isochrone value"),
+    "iso-non-finite-level": ("isochrones", "eps,0,1\n0.5,2,1.8\nnan,4,3.6\n",
+                             ValidationError, 3, "non-finite strain level"),
+    "iso-non-finite-time": ("isochrones", "\neps,0,inf\n0.5,2,1.8\n",
+                            ValidationError, 2, "non-finite isochrone time"),
 }
 
 # data rows that both ingesters reject, as (sample row, isochrone row)
@@ -413,30 +422,32 @@ class TestReport:
 
     @given(float_tables())
     def test_table_rows_match_scalar_rendering(self, table):
-        assert fmt9_rows(table) == "".join(
+        assert "".join(fmt9_rows(table)) == "".join(
             ",".join(fmt9(x) for x in row) + "\n" for row in table
         )
 
     def test_table_rows_special_values(self):
         table = np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]])
-        assert fmt9_rows(table) == "".join(
+        assert "".join(fmt9_rows(table)) == "".join(
             ",".join(fmt9(x) for x in row) + "\n" for row in table
         )
-        assert fmt9_rows([[-0.0, 2.5e16, 123456789.0]]) == "-0,2.5e+16,123456789\n"
+        assert ("".join(fmt9_rows([[-0.0, 2.5e16, 123456789.0]]))
+                == "-0,2.5e+16,123456789\n")
 
     def test_table_rows_empty(self):
-        assert fmt9_rows(np.empty((0, 3))) == ""
+        assert "".join(fmt9_rows(np.empty((0, 3)))) == ""
 
     @given(mixed_columns())
     def test_mixed_columns_match_scalar_rendering(self, case):
         columns, values = case
-        assert fmt9_columns(columns) == "".join(
+        assert "".join(fmt9_columns(columns)) == "".join(
             ",".join(fmt9(col[i]) for col in values) + "\n"
             for i in range(len(values[0])))
         # below 1e9 an integer's %d is the %.9g of the same integral float
         for col in columns:
             if isinstance(col, np.ndarray) and col.dtype == np.int64:
-                assert fmt9_columns([col]) == fmt9_rows(col[:, None])
+                assert ("".join(fmt9_columns([col]))
+                        == "".join(fmt9_rows(col[:, None])))
 
     def test_columns_of_unequal_length(self):
         with pytest.raises(ValueError):
@@ -457,6 +468,38 @@ class TestReport:
                 for r in records))
         if "j" in table.columns:
             assert [r["j"] for r in records] == list(range(1, 17))
+
+    @pytest.mark.parametrize("nrows", [1, 3, 4, 5, 9])
+    def test_blocks_match_one_format_call(self, monkeypatch, nrows):
+        # 12 fields a block: 3 columns give blocks of 4 rows, 15 give 1 row
+        monkeypatch.setattr(pipeline, "BLOCK_FIELDS", 12)
+        rng = np.random.default_rng(nrows)
+        for ncols in (3, 15):
+            table = 10.0 ** rng.uniform(-300, 300, (nrows, ncols))
+            want = ((",".join(["%.9g"] * ncols) + "\n") * nrows
+                    % tuple(table.ravel().tolist()))
+            blocks = list(fmt9_rows(table))
+            assert "".join(blocks) == want
+            assert len(blocks) == -(-nrows // max(1, 12 // ncols))
+            assert "".join(fmt9_rows(table[:, 0], table[:, 1:])) == want
+        ints, floats = np.arange(nrows) - 2, 10.0 ** rng.uniform(-9, 9, nrows)
+        fields = [fmt9(x) for x in rng.uniform(-1.0, 1.0, nrows)]
+        for repeat in (1, 5):
+            columns = (ints, floats, fields) * repeat
+            want = ((",".join(["%d,%.9g,%s"] * repeat) + "\n") * nrows) % tuple(
+                x for row in zip(*(c if isinstance(c, list) else c.tolist()
+                                   for c in columns)) for x in row)
+            blocks = list(fmt9_columns(columns))
+            assert "".join(blocks) == want
+            assert len(blocks) == -(-nrows // max(1, 12 // (3 * repeat)))
+
+    def test_unequal_columns_open_no_file(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        with pytest.raises(ValueError):
+            write_samples_csv(path, np.arange(3.0), np.ones(2))
+        assert not path.exists()
+        with pytest.raises(ValueError):
+            fmt9_rows(np.ones(3), np.ones((2, 2)))
 
     def test_csv_writers_match_scalar_rendering(self, tmp_path):
         rng = np.random.default_rng(20261018)
@@ -482,6 +525,20 @@ class TestReport:
 
 
 class TestRunModes:
+    @pytest.mark.parametrize("mode", ["identify", "table1", "validate"])
+    def test_each_input_is_read_once(self, tmp_path, table1_file, monkeypatch,
+                                     mode):
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(table1_file.read_bytes().replace(b"\n", b"\r\n"))
+        digest = "sha256:" + hashlib.sha256(crlf.read_bytes()).hexdigest()
+        opened, path_open = [], Path.open
+        monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: (
+            opened.append(self) or path_open(self, *args, **kwargs)))
+        report = run(RunConfig(mode=mode, input=str(crlf), lambda0=0.9,
+                               eval_at_knots=True, no_timestamp=True))
+        assert opened == [crlf]
+        assert report.header["input-digest.samples"] == digest
+
     def test_identify_on_reference_table_at_knots(self, table1_file, table1):
         cfg = RunConfig(mode="identify", input=str(table1_file), lambda0=0.9,
                         eval_at_knots=True, no_timestamp=True)
