@@ -76,18 +76,35 @@ class ResponseHistory:
             raise DomainError("history values must be finite")
 
 
+def _finite(arg, message: str, compute):
+    """``compute()``, elementwise over ``arg``; a result that is not finite
+    is a DomainError naming the first entry of ``arg`` that gives one (a
+    float ``**`` that overflows raises OverflowError, an array's gives inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = compute()
+        except OverflowError:
+            value = math.inf
+    _check_domain(arg, ~np.isfinite(value), message)
+    return value
+
+
 def phi0(pl: PowerLaw, eps):
     """Instantaneous stress (H/q) * eps**q for eps >= 0, elementwise."""
     _check_domain(eps, ~(np.asarray(eps) >= 0.0),  # NaN fails too
                   "phi0 is undefined for negative or NaN strain")
-    return pl.H / pl.q * eps ** pl.q
+    return _finite(eps, f"phi0 overflows at H = {pl.H}, q = {pl.q}: stress "
+                        f"(H/q)*eps**q is not finite for strain eps",
+                   lambda: pl.H / pl.q * eps ** pl.q)
 
 
 def phi0_inverse(pl: PowerLaw, phi):
     """Strain (q*phi/H)**(1/q) for phi >= 0, elementwise; round-trips with phi0."""
     _check_domain(phi, ~(np.asarray(phi) >= 0.0),  # NaN fails too
                   "phi0 inverse is undefined for negative or NaN stress")
-    return (pl.q * phi / pl.H) ** (1.0 / pl.q)
+    return _finite(phi, f"phi0 inverse overflows at H = {pl.H}, q = {pl.q}: "
+                        f"strain (q*phi/H)**(1/q) is not finite for stress phi",
+                   lambda: (pl.q * phi / pl.H) ** (1.0 / pl.q))
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:

@@ -14,21 +14,13 @@ table1     recompute the bundled reference table's segment coefficients
 validate   run the data invariant suite against an input file.
 
 Reports are deterministic: every number is printed with 9 significant
-digits and the timestamp can be suppressed. Every value of a run is
-rendered once, in row blocks of at most ``BLOCK_FIELDS`` fields with one
-format call per block, so a table of any size holds only one block's
-Python floats, argument tuple and text at a time: ``fmt9_rows`` renders a
-float matrix (the isochrone body), ``fmt9_columns`` a table of mixed
-columns (the sample CSV files, the report's sample table), each a float
-array (``%.9g``), an integer array (``%d``) or a list of fields already
-rendered (``%s``), and ``fmt9_column`` one float column as a list of
-fields. The CSV writers stream a header and the blocks through one open
-file; the report's sample table joins its blocks. A simulate run renders
-its time grid once and every file it writes reuses those fields. ``fmt9``
-renders scalars (result fields, the config echo, table1 rows). A report
-keeps each table as its rendered rows. Each input file is read once, for
-its text and its digest, and its body is parsed with one numpy reader
-call; its rows are walked only to name the first malformed one.
+digits and the timestamp can be suppressed. Every table (the CSV files,
+the report's sample table) is rendered by ``fmt9_columns`` in row blocks
+of at most ``BLOCK_FIELDS`` fields, one format call per block, so memory
+stays bounded at any table size; the CSV writers stream the blocks to the
+file. A simulate run renders its time grid once and every file it writes
+reuses those fields; ``fmt9`` renders scalars. Each input file is read
+once, for its text and its digest, and parsed with one numpy reader call.
 """
 
 from __future__ import annotations
@@ -82,34 +74,46 @@ def fmt9(x) -> str:
 BLOCK_FIELDS = 16384
 
 
-def _block_starts(nrows: int, ncols: int) -> range:
-    """The first row of each block: a block holds as many whole rows as
-    ``BLOCK_FIELDS`` fields allow, and at least one."""
-    return range(0, nrows, max(1, BLOCK_FIELDS // max(ncols, 1)))
+def fmt9_columns(columns) -> Iterator[str]:
+    """Equal-length columns as CSV text blocks, one ``%`` call per block.
 
-
-def fmt9_rows(*tables) -> Iterator[str]:
-    """Numeric tables side by side as CSV text blocks: comma-joined ``fmt9``
-    fields, one newline-terminated line per row, one ``%`` call per block.
-
-    Each table is a 2-d array or a 1-d array (one column), as in
-    ``np.column_stack``, which joins them one block at a time; tables of
-    unequal row counts raise ValueError here, before any block is rendered.
-    ``"%.9g" % x`` and ``f"{x:.9g}"`` share one correctly rounded float
-    formatter, so every field is the string ``fmt9`` gives for a float
-    (for an integral float below 1e9, the string it gives for the int).
+    A column is a float array (``%.9g``), an integer array (``%d``) or a
+    list of fields already rendered (``%s``); a 2-d float array is a group
+    of float columns. ``"%.9g" % x`` and ``f"{x:.9g}"`` share one correctly
+    rounded formatter, so every field is the string ``fmt9`` gives for its
+    value (for an integral float below 1e9, the string ``%d`` gives).
+    Columns of unequal length raise ValueError here, before any block is
+    rendered. A block holds as many whole rows as ``BLOCK_FIELDS`` fields
+    allow, and at least one: it is the leading rows of one object array
+    made per call, filled by one assignment per column group.
     """
-    arrs = [np.asarray(t, dtype=float) for t in tables]
-    nrows = len(arrs[0])
-    if any(len(a) != nrows for a in arrs):
-        raise ValueError("tables differ in row count")
-    ncols = sum(1 if a.ndim == 1 else a.shape[1] for a in arrs)
-    row_format = ",".join(["%.9g"] * ncols) + "\n"
-    starts = _block_starts(nrows, ncols)
+    groups, formats = [], []
+    for col in columns:
+        if isinstance(col, list):
+            fmt = "%s"
+        elif np.asarray(col).dtype.kind in "iu":
+            fmt, col = "%d", np.asarray(col)
+        else:
+            fmt, col = "%.9g", np.asarray(col, dtype=float)
+        first = len(formats)
+        if getattr(col, "ndim", 1) == 2:
+            formats += [fmt] * col.shape[1]
+            groups.append((col, slice(first, len(formats))))
+        else:
+            formats.append(fmt)
+            groups.append((col, first))
+    nrows, ncols = len(columns[0]), len(formats)
+    if any(len(col) != nrows for col, _ in groups):
+        raise ValueError("columns differ in length")
+    row_format = ",".join(formats) + "\n"
+    step = max(1, BLOCK_FIELDS // max(ncols, 1))
 
     def blocks():
-        for start in starts:
-            block = np.column_stack([a[start:start + starts.step] for a in arrs])
+        buffer = np.empty((min(step, nrows), ncols), dtype=object)
+        for start in range(0, nrows, step):
+            block = buffer[:nrows - start]
+            for col, at in groups:
+                block[:, at] = col[start:start + step]
             yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
     return blocks()
@@ -117,46 +121,7 @@ def fmt9_rows(*tables) -> Iterator[str]:
 
 def fmt9_column(values) -> list[str]:
     """The ``fmt9`` field of each value of a 1-d float array."""
-    return "".join(fmt9_rows(values)).splitlines()
-
-
-def fmt9_columns(columns) -> Iterator[str]:
-    """Equal-length columns as CSV text blocks, one ``%`` call per block.
-
-    A column is a float array (``%.9g``), an integer array (``%d``, an
-    int's ``str``) or a list of fields already rendered (``%s``); every
-    field is the string ``fmt9`` gives for its value (for an integral float
-    below 1e9, the string ``%d`` gives). Columns of unequal length raise
-    ValueError here, before any block is rendered. Each block's argument
-    list is interleaved by slice assignment, with no Python loop per row.
-    """
-    nrows, ncols = len(columns[0]), len(columns)
-    if any(len(col) != nrows for col in columns):
-        raise ValueError("columns differ in length")
-    formats, cols = [], []
-    for col in columns:
-        if isinstance(col, list) and col and isinstance(col[0], str):
-            formats.append("%s")
-        elif np.asarray(col).dtype.kind in "iu":
-            formats.append("%d")
-            col = np.asarray(col)
-        else:
-            formats.append("%.9g")
-            col = np.asarray(col, dtype=float)
-        cols.append(col)
-    row_format = ",".join(formats) + "\n"
-    starts = _block_starts(nrows, ncols)
-
-    def blocks():
-        for start in starts:
-            stop = min(start + starts.step, nrows)
-            args = [None] * ((stop - start) * ncols)
-            for i, col in enumerate(cols):
-                part = col[start:stop]
-                args[i::ncols] = part if isinstance(part, list) else part.tolist()
-            yield (row_format * (stop - start)) % tuple(args)
-
-    return blocks()
+    return "".join(fmt9_columns([values])).splitlines()
 
 
 @dataclass
@@ -328,10 +293,9 @@ def _row_error(lines: list[str], header: bool,
     raise AssertionError("no malformed row in a table that failed to parse")
 
 
-def ingest_kernel_samples(path: str | Path, *, with_digest: bool = False
-                          ) -> KernelSamples | tuple[KernelSamples, str]:
+def ingest_kernel_samples(path: str | Path) -> tuple[KernelSamples, str]:
     """Read comma-separated (t, K) rows, optional header, into samples;
-    with ``with_digest``, return (samples, digest of the file's bytes).
+    return (samples, digest of the file's bytes).
 
     Blank lines are skipped, a first line that is not numeric is a header
     and an index column (j, t, K) is dropped; every data row must have the
@@ -360,14 +324,12 @@ def ingest_kernel_samples(path: str | Path, *, with_digest: bool = False
             f"{arr_t[bad + 1]}",
             row=_line_numbers(lines)[header + bad + 1],
         )
-    samples = KernelSamples(arr_t, arr_v)
-    return (samples, digest) if with_digest else samples
+    return KernelSamples(arr_t, arr_v), digest
 
 
-def ingest_isochrones(path: str | Path, *, with_digest: bool = False
-                      ) -> IsochroneDataset | tuple[IsochroneDataset, str]:
+def ingest_isochrones(path: str | Path) -> tuple[IsochroneDataset, str]:
     """Read an isochrone matrix: header row of times, strain-level rows;
-    with ``with_digest``, return (data, digest of the file's bytes)."""
+    return (data, digest of the file's bytes)."""
     path = Path(path)
     lines, digest = _read_input(path)
     rows = list(filter(str.strip, lines))
@@ -395,8 +357,7 @@ def ingest_isochrones(path: str | Path, *, with_digest: bool = False
         bad = int(np.nonzero(np.any(m <= 0.0, axis=1))[0][0])
         raise ValidationError("nonpositive isochrone value",
                               row=_line_numbers(lines)[bad + 1])
-    data = IsochroneDataset(table[:, 0].copy(), head[0, 1:], m)
-    return (data, digest) if with_digest else data
+    return IsochroneDataset(table[:, 0].copy(), head[0, 1:], m), digest
 
 
 def write_samples_csv(path: str | Path, times, values,
@@ -406,13 +367,10 @@ def write_samples_csv(path: str | Path, times, values,
 
 
 def write_isochrones_csv(path: str | Path, data: IsochroneDataset,
-                         time_fields: list[str] | None = None) -> None:
-    """An isochrone CSV file; ``time_fields`` are the rendered ``data.times``
-    when the caller has them."""
-    if time_fields is None:
-        time_fields = fmt9_column(data.times)
+                         time_fields: list[str]) -> None:
+    """An isochrone CSV file; ``time_fields`` are the rendered ``data.times``."""
     write_output(path, "eps," + ",".join(time_fields) + "\n",
-                 fmt9_rows(data.strain_levels, data.phi_t))
+                 fmt9_columns((data.strain_levels, data.phi_t)))
 
 
 def _kernel_samples(times: np.ndarray, values: np.ndarray) -> KernelSamples:
@@ -493,8 +451,7 @@ def _config_echo(cfg: RunConfig) -> dict:
 def _run_identify(cfg: RunConfig) -> Report:
     digests = {}
     if cfg.input:
-        samples, digests["samples"] = ingest_kernel_samples(
-            cfg.input, with_digest=True)
+        samples, digests["samples"] = ingest_kernel_samples(cfg.input)
     elif cfg.isochrones:
         samples = None
     else:
@@ -502,8 +459,7 @@ def _run_identify(cfg: RunConfig) -> Report:
 
     iso = None
     if cfg.isochrones:
-        iso, digests["isochrones"] = ingest_isochrones(
-            cfg.isochrones, with_digest=True)
+        iso, digests["isochrones"] = ingest_isochrones(cfg.isochrones)
 
     sigma_over_h = cfg.sigma_over_h if cfg.sigma_over_h is not None else 1.0
     wcfg = WeightConfig(lambda0=cfg.lambda0, q0=cfg.q0, gamma=cfg.gamma)
@@ -513,8 +469,7 @@ def _run_identify(cfg: RunConfig) -> Report:
 
     model_ref = False
     if cfg.model_samples:
-        ref, digests["model_samples"] = ingest_kernel_samples(
-            cfg.model_samples, with_digest=True)
+        ref, digests["model_samples"] = ingest_kernel_samples(cfg.model_samples)
         if not np.array_equal(ref.times, samples.times):
             raise ValidationError(
                 "model sample times must match the data sample times"
@@ -535,7 +490,7 @@ def _run_identify(cfg: RunConfig) -> Report:
     report.result = {
         "lambda_hat": fmt9(result.lambda_hat),
         "lambda_ratio": fmt9(result.diagnostics["lambda_ratio"]),
-        "q_hat": fmt9(result.q_hat) if not math.isnan(result.q_hat) else "nan",
+        "q_hat": fmt9(result.q_hat),
         "delta": fmt9(result.delta),
         "m_selected": str(result.m_selected),
         "model_reference": str(model_ref),
@@ -571,6 +526,11 @@ def _run_simulate(cfg: RunConfig) -> Report:
         model = creep_kernel(kp, samples.times).checked(samples.times)
         phi_inst = phi0(pl, hist.values)
         s_fun = phi_inst / cfg.sigma
+        if not np.all(s_fun[1:] > 0.0):  # each isochrone value divides by it
+            t = hist.times[1:][s_fun[1:] <= 0.0][0]
+            raise DomainError(f"the similarity function phi0(eps)/sigma "
+                              f"underflows to 0 at t = {fmt9(t)}: the "
+                              f"isochrones are undefined")
         iso = IsochroneDataset(hist.values[1:], hist.times[1:],
                                phi_inst[1:, None] / s_fun[None, 1:])
         value_header = "t,eps"
@@ -613,8 +573,7 @@ def _run_simulate(cfg: RunConfig) -> Report:
 def _run_table1(cfg: RunConfig) -> Report:
     digests = {}
     if cfg.input:
-        samples, digests["samples"] = ingest_kernel_samples(
-            cfg.input, with_digest=True)
+        samples, digests["samples"] = ingest_kernel_samples(cfg.input)
     else:
         samples = table1_fixture()
     comparison = compare_table1(samples)
@@ -638,7 +597,7 @@ def _run_table1(cfg: RunConfig) -> Report:
 def _run_validate(cfg: RunConfig) -> Report:
     if not cfg.input:
         raise ValidationError("validate needs --input")
-    samples, digest = ingest_kernel_samples(cfg.input, with_digest=True)
+    samples, digest = ingest_kernel_samples(cfg.input)
     checks = []
 
     def check(name, ok, detail=""):

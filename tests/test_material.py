@@ -64,6 +64,20 @@ class TestPowerLaw:
         with pytest.raises(DomainError, match="got nan$"):
             phi0_inverse(PowerLaw(1.0, 1.5), arg)
 
+    @pytest.mark.parametrize("arg", [10.0, np.array([[0.0, 10.0], [20.0, 1.0]])],
+                             ids=["scalar", "array"])
+    def test_overflow_rejected(self, arg):
+        # a result that is not finite is an error naming its argument: a
+        # float ** raised OverflowError, an array ** warned and gave inf
+        with pytest.raises(DomainError, match=r"^phi0 overflows at H = 1\.0, "
+                           r"q = 400\.0: .* got 10\.0$"):
+            phi0(PowerLaw(1.0, 400.0), arg)
+        with pytest.raises(DomainError, match=r"^phi0 inverse overflows at "
+                           r"H = 1e-320, q = 1\.0: .* got 10\.0$"):
+            phi0_inverse(PowerLaw(1e-320, 1.0), arg)
+        with pytest.raises(DomainError, match=r"got 1\.0$"):
+            phi0_inverse(PowerLaw(1e-320, 1.0), 1.0)  # was a silent inf
+
     def test_parameter_validation(self):
         for bad in (0.0, -2.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="^H must"):

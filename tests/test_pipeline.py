@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import viscoident as v
@@ -22,7 +22,6 @@ from viscoident.pipeline import (
     extract_creep_kernel_samples,
     fmt9,
     fmt9_columns,
-    fmt9_rows,
     ingest_isochrones,
     ingest_kernel_samples,
     _parse_table,
@@ -127,15 +126,21 @@ def float_tables(draw):
 @st.composite
 def mixed_columns(draw):
     """Equal-length columns, each an integer array (|j| <= 999,999,999), a
-    float array or a list of ``fmt9`` fields, with the values of each."""
+    float array, a 2-d float array (a group of one to three float columns)
+    or a list of ``fmt9`` fields, with the values of each column."""
     nrows = draw(st.integers(min_value=0, max_value=6))
     floats = st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
                       min_size=nrows, max_size=nrows)
     ints = st.lists(st.integers(min_value=-999_999_999, max_value=999_999_999),
                     min_size=nrows, max_size=nrows)
     columns, values = [], []
-    for kind in draw(st.lists(st.sampled_from(["int", "float", "text"]),
+    for kind in draw(st.lists(st.sampled_from(["int", "float", "group", "text"]),
                               min_size=1, max_size=6)):
+        if kind == "group":
+            group = draw(st.lists(floats, min_size=1, max_size=3))
+            columns.append(np.array(group, dtype=float).T)
+            values += group
+            continue
         vals = draw(ints if kind == "int" else floats)
         if kind == "int":
             columns.append(np.array(vals, dtype=np.int64))
@@ -145,6 +150,17 @@ def mixed_columns(draw):
             columns.append([fmt9(x) for x in vals])
         values.append(vals)
     return columns, values
+
+
+def row_major(columns) -> tuple:
+    """Every field of equal-length columns, row by row, as one tuple; a 2-d
+    array is a group of columns."""
+    fields = []
+    for i in range(len(columns[0])):
+        for col in columns:
+            x = col[i] if isinstance(col, list) else col[i].tolist()
+            fields += x if isinstance(x, list) else [x]
+    return tuple(fields)
 
 
 @st.composite
@@ -186,7 +202,7 @@ def test_ingestion_error_paths(tmp_path, case):
     if error is None:
         clean = tmp_path / "clean.csv"
         clean.write_text(text.replace("\r", "").replace("\n\n", "\n"))
-        got, want = ingest(path), ingest(clean)
+        (got, _), (want, _) = ingest(path), ingest(clean)
         assert all(np.array_equal(a, b)
                    for a, b in zip(astuple(got), astuple(want), strict=True))
         return
@@ -234,7 +250,7 @@ class TestIngestSamples:
         ).read_text()
         path = tmp_path / "t1.csv"
         path.write_text(text)
-        got = ingest_kernel_samples(path)
+        got, _ = ingest_kernel_samples(path)
         assert len(got) == 16
         assert got.t_star == 1050.0
         assert np.array_equal(got.values, table1.values)
@@ -242,7 +258,7 @@ class TestIngestSamples:
     def test_two_columns_no_header(self, tmp_path):
         path = tmp_path / "bare.csv"
         path.write_text("0,10\n1,8\n2,7\n")
-        got = ingest_kernel_samples(path)
+        got, _ = ingest_kernel_samples(path)
         assert np.array_equal(got.times, [0.0, 1.0, 2.0])
 
     def test_empty_file(self, tmp_path):
@@ -303,7 +319,8 @@ class TestIngestSamples:
         padded.write_text(header + "".join(
             " " + " , ".join(r) + " \n" for r in rows
         ))
-        want, got = ingest_kernel_samples(bare), ingest_kernel_samples(padded)
+        (want, _), (got, _) = (ingest_kernel_samples(bare),
+                               ingest_kernel_samples(padded))
         assert np.array_equal(got.times, [0.001, 0.002, 0.004])
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.values, want.values)
@@ -313,7 +330,7 @@ class TestIngestIsochrones:
     def test_two_by_two(self, tmp_path):
         path = tmp_path / "iso.csv"
         path.write_text("eps,0,1\n0.5,2.0,1.8\n1.0,4.0,3.6\n")
-        data = ingest_isochrones(path)
+        data, _ = ingest_isochrones(path)
         assert data.phi_t.shape == (2, 2)
         assert np.array_equal(data.strain_levels, [0.5, 1.0])
 
@@ -327,7 +344,7 @@ class TestIngestIsochrones:
             lines.append(f"{e},{inst},{inst / 2.0}")
         path = tmp_path / "iso.csv"
         path.write_text("\n".join(lines) + "\n")
-        means = v.similarity_means(ingest_isochrones(path), pl)
+        means = v.similarity_means(ingest_isochrones(path)[0], pl)
         assert means == pytest.approx([1.0, 2.0], rel=1e-12)
 
     def test_ragged_rows(self, tmp_path):
@@ -344,7 +361,7 @@ class TestIngestIsochrones:
         padded.write_text(
             " eps , 0 , 1 \n 0.5 , 2.0 , 1.8 \n1.0 ,4.0, 3.6\n"
         )
-        want, got = ingest_isochrones(bare), ingest_isochrones(padded)
+        (want, _), (got, _) = ingest_isochrones(bare), ingest_isochrones(padded)
         assert np.array_equal(got.strain_levels, want.strain_levels)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.phi_t, want.phi_t)
@@ -422,22 +439,26 @@ class TestReport:
 
     @given(float_tables())
     def test_table_rows_match_scalar_rendering(self, table):
-        assert "".join(fmt9_rows(table)) == "".join(
+        assert "".join(fmt9_columns([table])) == "".join(
             ",".join(fmt9(x) for x in row) + "\n" for row in table
         )
 
     def test_table_rows_special_values(self):
         table = np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]])
-        assert "".join(fmt9_rows(table)) == "".join(
+        assert "".join(fmt9_columns([table])) == "".join(
             ",".join(fmt9(x) for x in row) + "\n" for row in table
         )
-        assert ("".join(fmt9_rows([[-0.0, 2.5e16, 123456789.0]]))
+        assert ("".join(fmt9_columns([np.array([[-0.0, 2.5e16, 123456789.0]])]))
                 == "-0,2.5e+16,123456789\n")
 
     def test_table_rows_empty(self):
-        assert "".join(fmt9_rows(np.empty((0, 3)))) == ""
+        assert "".join(fmt9_columns([np.empty((0, 3))])) == ""
+        assert "".join(fmt9_columns((np.arange(0), np.empty((0, 2)), []))) == ""
 
     @given(mixed_columns())
+    @example(([np.array([7, -2]), np.array([[0.5, 1e300], [-0.0, 2.5e16]]),
+               ["0.1", "nan"]],
+              [[7, -2], [0.5, -0.0], [1e300, 2.5e16], [0.1, float("nan")]]))
     def test_mixed_columns_match_scalar_rendering(self, case):
         columns, values = case
         assert "".join(fmt9_columns(columns)) == "".join(
@@ -447,7 +468,7 @@ class TestReport:
         for col in columns:
             if isinstance(col, np.ndarray) and col.dtype == np.int64:
                 assert ("".join(fmt9_columns([col]))
-                        == "".join(fmt9_rows(col[:, None])))
+                        == "".join(fmt9_columns([col.astype(float)])))
 
     def test_columns_of_unequal_length(self):
         with pytest.raises(ValueError):
@@ -478,20 +499,25 @@ class TestReport:
             table = 10.0 ** rng.uniform(-300, 300, (nrows, ncols))
             want = ((",".join(["%.9g"] * ncols) + "\n") * nrows
                     % tuple(table.ravel().tolist()))
-            blocks = list(fmt9_rows(table))
+            blocks = list(fmt9_columns([table]))
             assert "".join(blocks) == want
             assert len(blocks) == -(-nrows // max(1, 12 // ncols))
-            assert "".join(fmt9_rows(table[:, 0], table[:, 1:])) == want
+            assert "".join(fmt9_columns((table[:, 0], table[:, 1:]))) == want
         ints, floats = np.arange(nrows) - 2, 10.0 ** rng.uniform(-9, 9, nrows)
         fields = [fmt9(x) for x in rng.uniform(-1.0, 1.0, nrows)]
-        for repeat in (1, 5):
-            columns = (ints, floats, fields) * repeat
-            want = ((",".join(["%d,%.9g,%s"] * repeat) + "\n") * nrows) % tuple(
-                x for row in zip(*(c if isinstance(c, list) else c.tolist()
-                                   for c in columns)) for x in row)
+        group = 10.0 ** rng.uniform(-9, 9, (nrows, 15))
+        # an int column, a float group (at 15 columns, wider than a block)
+        # and rendered fields
+        for columns, formats in [
+            ((ints, floats, fields), ["%d", "%.9g", "%s"]),
+            ((ints, floats, fields) * 5, ["%d", "%.9g", "%s"] * 5),
+            ((ints, group[:, :2], fields), ["%d", "%.9g", "%.9g", "%s"]),
+            ((ints, group, fields), ["%d", *["%.9g"] * 15, "%s"]),
+        ]:
+            want = ((",".join(formats) + "\n") * nrows) % row_major(columns)
             blocks = list(fmt9_columns(columns))
             assert "".join(blocks) == want
-            assert len(blocks) == -(-nrows // max(1, 12 // (3 * repeat)))
+            assert len(blocks) == -(-nrows // max(1, 12 // len(formats)))
 
     def test_unequal_columns_open_no_file(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -499,7 +525,7 @@ class TestReport:
             write_samples_csv(path, np.arange(3.0), np.ones(2))
         assert not path.exists()
         with pytest.raises(ValueError):
-            fmt9_rows(np.ones(3), np.ones((2, 2)))
+            fmt9_columns((np.ones(3), np.ones((2, 2))))
 
     def test_csv_writers_match_scalar_rendering(self, tmp_path):
         rng = np.random.default_rng(20261018)
@@ -517,7 +543,7 @@ class TestReport:
             phi_t=10.0 ** rng.uniform(-20, 20, (7, 9)),
         )
         path = tmp_path / "iso.csv"
-        write_isochrones_csv(path, iso)
+        write_isochrones_csv(path, iso, [fmt9(t) for t in iso.times])
         want = ["eps," + ",".join(fmt9(t) for t in iso.times)]
         for eps_i, row in zip(iso.strain_levels, iso.phi_t):
             want.append(fmt9(eps_i) + "," + ",".join(fmt9(x) for x in row))
@@ -617,8 +643,8 @@ class TestRunModes:
                         grid=(0.0, 2.0, 128), output=str(base),
                         no_timestamp=True)
         run(cfg)
-        samples = ingest_kernel_samples(str(base) + "_kernel_samples.csv")
-        model = ingest_kernel_samples(str(base) + "_model_samples.csv")
+        samples, _ = ingest_kernel_samples(str(base) + "_kernel_samples.csv")
+        model, _ = ingest_kernel_samples(str(base) + "_model_samples.csv")
         # extracted data is the intensity-scaled resolvent kernel
         inner = (samples.times > 0.2) & (samples.times < 1.8)
         ratio = samples.values[inner] / model.values[inner]
@@ -630,7 +656,7 @@ class TestRunModes:
         run(RunConfig(mode="simulate", grid=(0.0, 0.005, 64),
                       output=str(tmp_path / "syn"), no_timestamp=True))
         path = tmp_path / "syn_isochrones.csv"
-        iso = ingest_isochrones(path)
+        iso, _ = ingest_isochrones(path)
         rows = np.ldexp(np.column_stack((iso.strain_levels, iso.phi_t)), -560)
         scaled = tmp_path / "scaled.csv"
         lines = ["eps," + ",".join(map(repr, iso.times.tolist()))]
@@ -638,7 +664,7 @@ class TestRunModes:
         scaled.write_text("\n".join(lines) + "\n")
         pl0 = v.PowerLaw(1.0, 1.0)
         assert np.array_equal(
-            derive_samples_from_isochrones(ingest_isochrones(scaled), pl0).values,
+            derive_samples_from_isochrones(ingest_isochrones(scaled)[0], pl0).values,
             derive_samples_from_isochrones(iso, pl0).values)
         for p in (path, scaled):
             report = run(RunConfig(mode="identify", isochrones=str(p),
@@ -895,6 +921,36 @@ class TestCli:
         assert err == (f"error(DomainError): grid spacing {spacing} is too "
                        f"fine to differentiate the record: its derivative "
                        f"is not finite\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("args, message", [
+        (["--mode", "simulate", "--kind", "creep", "--H", "1e-320"],
+         "phi0 inverse overflows at H = 1e-320, q = 1.5: strain "
+         "(q*phi/H)**(1/q) is not finite for stress phi, got 1.0"),
+        (["--mode", "identify", "--isochrones", "{iso}", "--q0", "1e300",
+          "--lambda0", "0.9"],
+         "phi0 overflows at H = 1.0, q = 1e+300: stress (H/q)*eps**q is not "
+         "finite for strain eps, got 1.31738658"),
+        (["--mode", "simulate", "--kind", "creep", "--q", "1e-300"],
+         "the similarity function phi0(eps)/sigma underflows to 0 at "
+         "t = 7.93650794e-05: the isochrones are undefined"),
+    ], ids=["H-tiny", "q0-huge", "q-tiny"])
+    def test_power_law_out_of_range_is_one_error_line(self, tmp_path, capsys,
+                                                      args, message):
+        # the power law overflows, or the strains underflow to 0 and the
+        # isochrone matrix would divide 0 by 0: no numpy warning first
+        run(RunConfig(mode="simulate", output=str(tmp_path / "P"),
+                      no_timestamp=True))
+        out = tmp_path / "out"
+        out.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([a.format(iso=tmp_path / "P_isochrones.csv")
+                         for a in args]
+                        + ["--grid", "0:0.005:64", "--output", str(out / "P")])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error(DomainError): {message}\n"
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("option, value, expected", [
