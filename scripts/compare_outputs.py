@@ -27,10 +27,10 @@ and the first line of stderr of each failing call of the CLI and ingestion
 tests, of the estimator's failure paths (a zero residual, a zero terminal
 residual, an order below 2) and of the three routes to kernel samples on two
 samples (a two-point simulate of either kind, a two-time isochrone file),
-of a power law that overflows or whose creep strains underflow to 0, and
-the validate and ``table1
---input`` reports of the 16-row fixture. It prints the outputs whose
-digests differ and exits 1 if any do, 0 if none do.
+of a power law that overflows or that underflows to 0 (the creep strains,
+the held relaxation stress, every isochrone similarity mean), and the
+validate and ``table1 --input`` reports of the 16-row fixture. It prints the
+outputs whose digests differ and exits 1 if any do, 0 if none do.
 """
 
 from __future__ import annotations
@@ -229,16 +229,22 @@ def failing_calls(vi, data: Path) -> dict:
             "--mode", "simulate", "--kind", kind, "--grid", "0:1:2",
             "--output", str(data / "run")]
     # the power law overflows (a tiny H, a huge q0 on strains above 1), or
-    # the creep strains underflow to 0 (a tiny q)
-    creep = ["--mode", "simulate", "--kind", "creep", "--grid", "0:0.005:64",
-             "--output", str(data / "run")]
+    # it underflows to 0: the creep strains (a tiny q), the held relaxation
+    # stress (a tiny eps) or every similarity mean (a huge q0 on strains
+    # below 1)
+    simulate = ["--mode", "simulate", "--grid", "0:0.005:64",
+                "--output", str(data / "run")]
+    creep = simulate + ["--kind", "creep"]
     calls["power-law-H-tiny"] = creep + ["--H", "1e-320"]
     calls["power-law-q-tiny"] = creep + ["--q", "1e-300"]
-    (data / "strains.csv").write_text(
-        "eps,0,1,2,3\n0.5,2,1.8,1.7,1.6\n1.5,4,3.6,3.4,3.2\n")
-    calls["power-law-q0-huge"] = ["--mode", "identify", "--isochrones",
-                                  str(data / "strains.csv"), "--q0", "1e300",
-                                  "--lambda0", "0.9"]
+    calls["power-law-eps-tiny"] = simulate + [
+        "--kind", "relaxation", "--eps", "1e-300", "--q", "3"]
+    for name, top in (("", "1.5"), ("-below-1", "0.9")):
+        (data / f"strains{name}.csv").write_text(
+            f"eps,0,1,2,3\n0.5,2,1.8,1.7,1.6\n{top},4,3.6,3.4,3.2\n")
+        calls[f"power-law-q0-huge{name}"] = [
+            "--mode", "identify", "--isochrones", str(data / f"strains{name}.csv"),
+            "--q0", "1e300", "--lambda0", "0.9"]
     (data / "two-times.csv").write_text("eps,0,1\n0.5,2,1.8\n1.0,4,3.6\n")
     calls["two-time-isochrones"] = ["--mode", "identify", "--isochrones",
                                     str(data / "two-times.csv")]

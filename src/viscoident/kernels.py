@@ -56,8 +56,7 @@ class KernelParams:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 <= self.beta < math.inf:
             raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
-        if not 0.0 < self.lam < math.inf:
-            raise DomainError(f"lambda must be finite and > 0, got {self.lam}")
+        _check_positive("lambda", self.lam)
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,19 @@ class SeriesSum:
         return self.value
 
 
-def _check_domain(x, bad, message: str) -> None:
-    """Raise DomainError naming the first entry of ``x`` where ``bad`` holds."""
-    if np.any(bad):
-        raise DomainError(f"{message}, got {np.asarray(x)[bad].flat[0]}")
+def _check_domain(x, bad, message: str, error=DomainError) -> None:
+    """Raise ``error`` naming the first entry of ``x`` where the boolean
+    array ``bad`` holds."""
+    if bad.any():
+        raise error(f"{message}, got {np.asarray(x)[bad].flat[0]}")
+
+
+def _check_positive(name: str, x, error=DomainError) -> None:
+    """Raise ``error`` naming the first entry of ``x`` that is not finite
+    and > 0 (NaN included)."""
+    x = np.asarray(x)
+    _check_domain(x, ~((x > 0.0) & (x < math.inf)),
+                  f"{name} must be finite and > 0", error)
 
 
 def creep_kernel(params: KernelParams, s) -> SeriesSum:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .kernels import KernelParams, _antiderivative_grid, _check_domain
+from .kernels import KernelParams, _antiderivative_grid, _check_domain, _check_positive
 
 KIND_CREEP = "creep-at-constant-stress"
 KIND_RELAXATION = "relaxation-at-constant-strain"
@@ -46,10 +46,8 @@ class PowerLaw:
     q: float
 
     def __post_init__(self):
-        for name in ("H", "q"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # NaN fails too
-                raise DomainError(f"{name} must be finite and > 0, got {value}")
+        _check_positive("H", self.H)
+        _check_positive("q", self.q)
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,7 @@ def simulate_creep(kp: KernelParams, pl: PowerLaw, sigma: float,
     The convolution collapses, giving
     eps(t) = phi0_inverse(sigma * (1 + lam * integral_0^t K)).
     """
-    if not 0.0 < sigma < math.inf:
-        raise DomainError(f"creep stress must be finite and > 0, got {sigma}")
+    _check_positive("creep stress", sigma)
     grid = _check_grid(grid)
     integral = _antiderivative_grid(kp.alpha, kp.beta, grid, 1).checked(grid)
     strain = phi0_inverse(pl, sigma * (1.0 + kp.lam * integral))
@@ -140,8 +137,7 @@ def simulate_relaxation(kp: KernelParams, pl: PowerLaw, eps: float,
     sigma(t) = phi0(eps) * (1 - lam * integral_0^t R), where the resolvent
     integral is the creep integral with rate beta + lam.
     """
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"relaxation strain must be finite and > 0, got {eps}")
+    _check_positive("relaxation strain", eps)
     grid = _check_grid(grid)
     integral = _antiderivative_grid(
         kp.alpha, kp.beta + kp.lam, grid, 1).checked(grid)
@@ -174,7 +170,8 @@ def differentiate(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 def relaxation_kernel_from_history(hist: ResponseHistory, pl: PowerLaw,
                                    lam: float):
     """Kernel samples R(t_j) = -(1/lam) * sigma'(t_j) / phi0(eps_const), the
-    t = 0 row included; ``differentiate`` gives sigma'."""
+    t = 0 row included; ``differentiate`` gives sigma'. A phi0(eps_const)
+    that underflows to 0 is a DomainError: the samples would be 0/0."""
     from .spline import KernelSamples  # local import to avoid a cycle
 
     if hist.kind != KIND_RELAXATION:
@@ -183,8 +180,12 @@ def relaxation_kernel_from_history(hist: ResponseHistory, pl: PowerLaw,
         )
     if lam == 0.0:
         raise DomainError("lambda must be nonzero to rescale the derivative")
-    dsigma = differentiate(hist.values, hist.times)
-    values = -dsigma / (lam * phi0(pl, hist.driver))
+    phi_held = phi0(pl, hist.driver)
+    if phi_held == 0.0:
+        raise DomainError(f"phi0 of the held strain eps = {hist.driver} underflows "
+                          f"to 0 at H = {pl.H}, q = {pl.q}: the kernel samples "
+                          f"are undefined")
+    values = -differentiate(hist.values, hist.times) / (lam * phi_held)
     return KernelSamples(hist.times, values)
 
 

@@ -15,7 +15,7 @@ validate   run the data invariant suite against an input file.
 
 Reports are deterministic: every number is printed with 9 significant
 digits and the timestamp can be suppressed. Every table (the CSV files,
-the report's sample table) is rendered by ``fmt9_columns`` in row blocks
+every report table) is rendered by ``fmt9_columns`` in row blocks
 of at most ``BLOCK_FIELDS`` fields, one format call per block, so memory
 stays bounded at any table size; the CSV writers stream the blocks to the
 file. A simulate run renders its time grid once and every file it writes
@@ -119,11 +119,6 @@ def fmt9_columns(columns) -> Iterator[str]:
     return blocks()
 
 
-def fmt9_column(values) -> list[str]:
-    """The ``fmt9`` field of each value of a 1-d float array."""
-    return "".join(fmt9_columns([values])).splitlines()
-
-
 @dataclass
 class RunConfig:
     """Every run setting and the CLI's only defaults; mode-specific ones may be None."""
@@ -201,16 +196,11 @@ class Report:
 
     def to_text(self) -> str:
         lines = ["# viscoident report"]
-        for key, val in self.header.items():
-            lines.append(f"{key}: {val}")
-        if self.config:
-            lines.append("[config]")
-            for key, val in self.config.items():
-                lines.append(f"{key}: {val}")
-        if self.result:
-            lines.append("[result]")
-            for key, val in self.result.items():
-                lines.append(f"{key}: {val}")
+        for title, section in ((None, self.header), ("[config]", self.config),
+                               ("[result]", self.result)):
+            if title and section:
+                lines.append(title)
+            lines += [f"{key}: {val}" for key, val in section.items()]
         parts = ["\n".join(lines) + "\n"]
         for name, table in self.tables.items():
             parts.append(f"[{name}]\n")
@@ -399,12 +389,17 @@ def derive_samples_from_isochrones(iso: IsochroneDataset,
     """Similarity means differentiated on the isochrone time grid.
 
     Like the creep-record route, the result carries the intensity scale
-    inside the sample values.
+    inside the sample values. A mean that underflows to 0 (phi0 vanishing at
+    every strain level) is a DomainError.
     """
     # imported per call: perfbench's layer tracer wraps spline.similarity_means
     from .spline import similarity_means
 
     s_bar = similarity_means(iso, pl0)
+    if not np.all(s_bar > 0.0):
+        raise DomainError(f"the similarity mean underflows to 0 at t = "
+                          f"{fmt9(iso.times[s_bar <= 0.0][0])}: the kernel "
+                          f"samples are undefined")
     return _kernel_samples(iso.times, differentiate(s_bar, iso.times))
 
 
@@ -546,7 +541,7 @@ def _run_simulate(cfg: RunConfig) -> Report:
     # The simulators' grid starts at t = 0 (material._check_grid) and
     # _kernel_samples drops exactly that row, so the sample and isochrone
     # times are hist.times[1:]: each time is rendered once, for every file.
-    time_fields = fmt9_column(hist.times)
+    time_fields = "".join(fmt9_columns([hist.times])).splitlines()
     sample_fields = time_fields[1:]
     outputs = {}
     if iso is not None:
@@ -584,13 +579,12 @@ def _run_table1(cfg: RunConfig) -> Report:
         "rows": str(len(comparison)),
         "flagged_rows": ";".join(str(j) for j in flagged) or "none",
     }
-    numeric = ("t", "B", "printed_2C", "computed_2C", "printed_3D",
-               "computed_3D")
-    report.tables["table1"] = Table(("j", *numeric, "flag"), "".join(
-        ",".join([str(row["j"]), *(fmt9(row[c]) for c in numeric),
-                  str(row["flagged"])]) + "\n"
-        for row in comparison
-    ))
+    numeric = ("t", "B", "printed_2C", "computed_2C", "printed_3D", "computed_3D")
+    columns = (np.arange(1, len(comparison) + 1),
+               np.array([[row[c] for c in numeric] for row in comparison]),
+               [str(row["flagged"]) for row in comparison])
+    report.tables["table1"] = Table(("j", *numeric, "flag"),
+                                    "".join(fmt9_columns(columns)))
     return report
 
 
@@ -625,7 +619,7 @@ def _run_validate(cfg: RunConfig) -> Report:
     }
     report.tables["validate"] = Table(
         ("check", "status", "detail"),
-        "".join(",".join(c) + "\n" for c in checks),
+        "".join(fmt9_columns([list(column) for column in zip(*checks)])),
     )
     return report
 

@@ -58,7 +58,7 @@ from .errors import (
     NoRootError,
     PoleError,
 )
-from .kernels import _check_domain
+from .kernels import _check_domain, _check_positive
 from .material import PowerLaw
 from .spline import (
     IsochroneDataset,
@@ -85,9 +85,7 @@ class WeightConfig:
 
     def __post_init__(self):
         for name in ("lambda0", "q0", "gamma"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # NaN fails too
-                raise DomainError(f"{name} must be finite and > 0, got {value}")
+            _check_positive(name, getattr(self, name))
         if not isinstance(self.m, int) or self.m < 2:
             raise DomainError(f"m must be an integer >= 2, got {self.m}")
 
@@ -279,8 +277,7 @@ def lambda_gamma_form(samples: KernelSamples, segments: Spline,
 
 def eta(spline: Spline, sigma: float, pl: PowerLaw, lambda_hat: float):
     """eta_j = (sigma/H) * (1 + lambda_hat * integral_0^{t_j} K_j), per knot."""
-    if not 0.0 < sigma < math.inf:  # NaN fails too
-        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
+    _check_positive("sigma", sigma)
     value = sigma / pl.H * (1.0 + lambda_hat * integrate_segment_from_zero(spline))
     bad = np.flatnonzero(~(np.asarray(value) > 0.0))  # NaN fails too
     if bad.size:
@@ -358,12 +355,9 @@ def solve_q(eps: float, eta_j: float, q_bar: float) -> float:
 
     A one-pair call of the exponent stage of ``identify``.
     """
-    if not 0.0 < eps < math.inf:  # NaN fails too
-        raise DomainError(f"strain level must be finite and > 0, got {eps}")
-    if not 0.0 < eta_j < math.inf:
-        raise InfeasibleEtaError(f"eta must be finite and > 0, got {eta_j}")
-    if not 0.0 < q_bar < math.inf:
-        raise DomainError(f"q_bar must be finite and > 0, got {q_bar}")
+    _check_positive("strain level", eps)
+    _check_positive("eta", eta_j, InfeasibleEtaError)
+    _check_positive("q_bar", q_bar)
     q = float(_exponent_roots(np.array([eps]), np.array([eta_j]))[0, 0])
     if not q <= q_bar:
         raise NoRootBracketError(f"no exponent root in (0, q_bar = {q_bar}]")
@@ -392,9 +386,7 @@ def identify(samples: KernelSamples, segments: Spline,
         strain_levels = isochrones.strain_levels
     eps_levels = None if strain_levels is None else np.asarray(strain_levels, float)
     if eps_levels is not None:
-        bad = eps_levels[~(np.isfinite(eps_levels) & (eps_levels > 0.0))]
-        if bad.size:
-            raise DomainError(f"strain levels must be finite and > 0, got {bad[0]}")
+        _check_positive("strain levels", eps_levels)
 
     t_eval = segment_eval_times(samples, at_knots=at_knots)
     model, resid, r_n, m_sel, delta = _m_scan(samples, segments, cfg, t_eval, m_range)

@@ -24,7 +24,6 @@ but the algebra above does not depend on it; segments here are exponent-free.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 
@@ -229,11 +228,8 @@ def integrate_segment_from_zero(spline: Spline):
 def table1_fixture() -> KernelSamples:
     """The bundled 16-row reference kernel dataset (t from 0 to 1050)."""
     text = resources.files("viscoident.data").joinpath(TABLE1_RESOURCE).read_text()
-    rows = list(csv.reader(text.strip().splitlines()))
-    body = rows[1:]  # skip header
-    times = np.array([float(r[1]) for r in body])
-    values = np.array([float(r[2]) for r in body])
-    return KernelSamples(times, values)
+    table = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)  # j, t, K
+    return KernelSamples(table[:, 1], table[:, 2])
 
 
 def _half_ulp(printed: str) -> float:

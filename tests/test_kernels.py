@@ -10,11 +10,21 @@ from hypothesis import strategies as st
 
 from viscoident import (
     KernelParams,
+    PowerLaw,
+    Spline,
+    WeightConfig,
     creep_kernel,
     creep_kernel_integral,
+    eta,
+    fit_kernel_spline,
+    identify,
     relaxation_kernel,
+    simulate_creep,
+    simulate_relaxation,
+    solve_q,
+    table1_fixture,
 )
-from viscoident.errors import ConvergenceError, DomainError
+from viscoident.errors import ConvergenceError, DomainError, InfeasibleEtaError
 from viscoident.kernels import ABS_TOL, MAX_TERMS
 
 # 200-term summation at 50 decimal digits (mpmath), frozen:
@@ -247,3 +257,47 @@ def test_array_call_matches_scalar_calls(fn, s):
     assert res.value.shape == (2, 2)
     for si, got in zip(np.ravel(s), res.value.ravel()):
         assert abs(got - fn(kp, si).value) <= 2.0 * ABS_TOL
+
+
+def _positive_guards():
+    """(id, call taking the bad value, exception class, argument name) of
+    every finite-and-positive argument check."""
+    grid = np.linspace(0.0, 1.0, 5)
+    kp, pl = KernelParams(0.5, 0.1, 1.0), PowerLaw(1.0, 1.0)
+
+    def identify_levels(bad):
+        samples = table1_fixture()
+        identify(samples, fit_kernel_spline(samples), None, WeightConfig(0.9),
+                 1.0, pl, strain_levels=[1.5, bad])
+
+    return [
+        ("KernelParams-lambda", lambda x: KernelParams(0.5, 0.1, x),
+         DomainError, "lambda"),
+        ("PowerLaw-H", lambda x: PowerLaw(x, 1.0), DomainError, "H"),
+        ("PowerLaw-q", lambda x: PowerLaw(1.0, x), DomainError, "q"),
+        ("simulate_creep", lambda x: simulate_creep(kp, pl, x, grid),
+         DomainError, "creep stress"),
+        ("simulate_relaxation", lambda x: simulate_relaxation(kp, pl, x, grid),
+         DomainError, "relaxation strain"),
+        *((f"WeightConfig-{name}", lambda x, name=name: WeightConfig(**{name: x}),
+           DomainError, name) for name in ("lambda0", "q0", "gamma")),
+        ("eta", lambda x: eta(Spline(5.0, 3500.0, -100.0, -10.0), x, pl, 1.0),
+         DomainError, "sigma"),
+        ("solve_q-strain", lambda x: solve_q(x, 1.0, 2.0),
+         DomainError, "strain level"),
+        ("solve_q-eta", lambda x: solve_q(0.5, x, 2.0), InfeasibleEtaError, "eta"),
+        ("solve_q-q_bar", lambda x: solve_q(0.5, 1.0, x), DomainError, "q_bar"),
+        ("identify-strain-levels", identify_levels, DomainError, "strain levels"),
+    ]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("guard", _positive_guards(), ids=lambda g: g[0])
+def test_positive_guards(guard, bad):
+    # the exact class and the whole message, "<name> must be finite and > 0,
+    # got <value>", of each argument that must be finite and positive
+    _, call, error, name = guard
+    with pytest.raises(error) as caught:
+        call(bad)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{name} must be finite and > 0, got {bad}"

@@ -214,6 +214,15 @@ class TestKernelFromHistory:
         with pytest.raises(DomainError):
             relaxation_kernel_from_history(ok, PowerLaw(1.0, 1.0), 0.0)
 
+    def test_underflowing_held_stress(self):
+        # phi0(1e-300) at q = 3 is 0: the extraction would divide 0 by 0
+        kp, pl = KernelParams(0.5, 0.0, 0.8), PowerLaw(1.0, 3.0)
+        hist = simulate_relaxation(kp, pl, 1e-300, np.linspace(0.0, 0.005, 64))
+        with pytest.raises(DomainError, match=r"^phi0 of the held strain "
+                           r"eps = 1e-300 underflows to 0 at H = 1.0, q = 3.0: "
+                           r"the kernel samples are undefined$"):
+            relaxation_kernel_from_history(hist, pl, 1.0)
+
     def test_two_samples_are_too_few_to_differentiate(self):
         # the one-sided second-order ends need three samples
         with pytest.raises(InsufficientDataError, match="^need at least three "

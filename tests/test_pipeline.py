@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import viscoident as v
 import viscoident.pipeline as pipeline
 from viscoident.cli import build_parser, main
-from viscoident.errors import ParseError, ValidationError, ViscoidentError
+from viscoident.errors import DomainError, ParseError, ValidationError, ViscoidentError
 from viscoident.pipeline import (
     Report,
     RunConfig,
@@ -254,6 +254,8 @@ class TestIngestSamples:
         assert len(got) == 16
         assert got.t_star == 1050.0
         assert np.array_equal(got.values, table1.values)
+        assert np.array_equal(got.times.view(np.uint64),
+                              table1.times.view(np.uint64))
 
     def test_two_columns_no_header(self, tmp_path):
         path = tmp_path / "bare.csv"
@@ -410,6 +412,16 @@ class TestSampleDerivation:
         derived = derive_samples_from_isochrones(iso, pl)
         assert np.array_equal(derived.times, direct.times)
         assert derived.values == pytest.approx(direct.values, rel=1e-9)
+
+    def test_vanishing_similarity_means(self):
+        # phi0 at q = 1e300 underflows to 0 below strain 1, so every mean is 0
+        # and the derived samples would all be 0
+        iso = v.IsochroneDataset([0.5, 0.9], [0.0, 1.0, 2.0, 3.0],
+                                 [[2.0, 1.8, 1.7, 1.6], [4.0, 3.6, 3.4, 3.2]])
+        with pytest.raises(DomainError, match=r"^the similarity mean "
+                           r"underflows to 0 at t = 0: the kernel samples "
+                           r"are undefined$"):
+            derive_samples_from_isochrones(iso, v.PowerLaw(1.0, 1e300))
 
     def test_only_a_t0_row_is_dropped(self):
         # the kernel is singular at t = 0 only
@@ -934,18 +946,29 @@ class TestCli:
         (["--mode", "simulate", "--kind", "creep", "--q", "1e-300"],
          "the similarity function phi0(eps)/sigma underflows to 0 at "
          "t = 7.93650794e-05: the isochrones are undefined"),
-    ], ids=["H-tiny", "q0-huge", "q-tiny"])
+        (["--mode", "simulate", "--kind", "relaxation", "--eps", "1e-300",
+          "--q", "3"],
+         "phi0 of the held strain eps = 1e-300 underflows to 0 at H = 1.0, "
+         "q = 3.0: the kernel samples are undefined"),
+        (["--mode", "identify", "--isochrones", "{below}", "--q0", "1e300",
+          "--lambda0", "0.9"],
+         "the similarity mean underflows to 0 at t = 0: the kernel samples "
+         "are undefined"),
+    ], ids=["H-tiny", "q0-huge", "q-tiny", "eps-tiny", "q0-huge-below-1"])
     def test_power_law_out_of_range_is_one_error_line(self, tmp_path, capsys,
                                                       args, message):
-        # the power law overflows, or the strains underflow to 0 and the
-        # isochrone matrix would divide 0 by 0: no numpy warning first
+        # the power law overflows, or it underflows to 0 and the isochrone
+        # matrix, the relaxation kernel or the isochrone-derived samples
+        # would divide 0 by 0: no numpy warning first
         run(RunConfig(mode="simulate", output=str(tmp_path / "P"),
                       no_timestamp=True))
+        below = tmp_path / "below.csv"  # every strain level below 1
+        below.write_text("eps,0,1,2,3\n0.5,2,1.8,1.7,1.6\n0.9,4,3.6,3.4,3.2\n")
         out = tmp_path / "out"
         out.mkdir()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([a.format(iso=tmp_path / "P_isochrones.csv")
+            code = main([a.format(iso=tmp_path / "P_isochrones.csv", below=below)
                          for a in args]
                         + ["--grid", "0:0.005:64", "--output", str(out / "P")])
         assert code == 2
