@@ -26,7 +26,6 @@ from .material import (
     hereditary_convolution,
     phi0,
     phi0_inverse,
-    relaxation_kernel_from_history,
     resolvent_mismatch,
     simulate_creep,
     simulate_relaxation,
@@ -53,6 +52,7 @@ from .spline import (
     eval_kernel_spline,
     fit_kernel_spline,
     integrate_segment_from_zero,
+    relaxation_kernel_from_history,
     similarity_means,
     table1_fixture,
 )

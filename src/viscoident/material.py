@@ -20,7 +20,8 @@ enters only through its first value and the jumps of its slope. The
 second antiderivative depends on the lag alone, so its series runs once
 per distinct lag of the grid and one matrix-vector product sums the cells.
 The power law and the simulators work on whole arrays, with no Python loop
-per sample.
+per sample. ``differentiate`` is the one derivative of a record; the
+routes from a record to kernel samples are in ``spline``.
 """
 
 from __future__ import annotations
@@ -165,28 +166,6 @@ def differentiate(values: np.ndarray, times: np.ndarray) -> np.ndarray:
             f"differentiate the record: its derivative is not finite"
         )
     return rate
-
-
-def relaxation_kernel_from_history(hist: ResponseHistory, pl: PowerLaw,
-                                   lam: float):
-    """Kernel samples R(t_j) = -(1/lam) * sigma'(t_j) / phi0(eps_const), the
-    t = 0 row included; ``differentiate`` gives sigma'. A phi0(eps_const)
-    that underflows to 0 is a DomainError: the samples would be 0/0."""
-    from .spline import KernelSamples  # local import to avoid a cycle
-
-    if hist.kind != KIND_RELAXATION:
-        raise DomainError(
-            f"need a {KIND_RELAXATION} history, got kind {hist.kind!r}"
-        )
-    if lam == 0.0:
-        raise DomainError("lambda must be nonzero to rescale the derivative")
-    phi_held = phi0(pl, hist.driver)
-    if phi_held == 0.0:
-        raise DomainError(f"phi0 of the held strain eps = {hist.driver} underflows "
-                          f"to 0 at H = {pl.H}, q = {pl.q}: the kernel samples "
-                          f"are undefined")
-    values = -differentiate(hist.values, hist.times) / (lam * phi_held)
-    return KernelSamples(hist.times, values)
 
 
 def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,

@@ -1,4 +1,5 @@
-"""End-to-end driver: ingestion, run modes, report emission.
+"""End-to-end driver: file I/O, run modes, report emission. The routes from
+a record to kernel samples that the run modes call are ``spline``'s.
 
 Modes
 -----
@@ -6,9 +7,9 @@ identify   ingest kernel samples (or derive them from isochrones), fit the
            segment spline, run the weighted-residual estimator, report.
 simulate   generate a synthetic creep or relaxation experiment: the
            response history, the kernel samples extracted from it the way
-           an experimenter would (similarity-function differentiation, so
-           they carry the intensity scale), a unit-intensity model sample
-           file, and for creep runs an isochrone matrix.
+           an experimenter would (differentiating the record, so they carry
+           the intensity scale: lam*K or lam*R), a unit-intensity model
+           sample file, and for creep runs an isochrone matrix.
 table1     recompute the bundled reference table's segment coefficients
            and flag rows inconsistent with the coefficient formulas.
 validate   run the data invariant suite against an input file.
@@ -39,33 +40,23 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, ParseError, ValidationError
 from .kernels import KernelParams, creep_kernel, relaxation_kernel
-from .material import (
-    KIND_CREEP,
-    PowerLaw,
-    ResponseHistory,
-    differentiate,
-    phi0,
-    relaxation_kernel_from_history,
-    simulate_creep,
-    simulate_relaxation,
-)
+from .material import PowerLaw, phi0, simulate_creep, simulate_relaxation
 from .residual import DEFAULT_M_RANGE, WeightConfig, identify
 from .spline import (
     IsochroneDataset,
     KernelSamples,
     TABLE1_REL_TOL,
     compare_table1,
+    derive_samples_from_isochrones,
+    extract_creep_kernel_samples,
     fit_kernel_spline,
+    relaxation_kernel_from_history,
     table1_fixture,
 )
 
 
 def fmt9(x) -> str:
     """Canonical 9-significant-digit rendering of one scalar."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.9g}"
 
 
@@ -363,46 +354,6 @@ def write_isochrones_csv(path: str | Path, data: IsochroneDataset,
                  fmt9_columns((data.strain_levels, data.phi_t)))
 
 
-def _kernel_samples(times: np.ndarray, values: np.ndarray) -> KernelSamples:
-    """Kernel samples of a differentiated record less a t = 0 row (K is singular)."""
-    start = int(times[0] == 0.0)
-    return KernelSamples(times[start:], values[start:])
-
-
-def extract_creep_kernel_samples(hist: ResponseHistory,
-                                 pl: PowerLaw) -> KernelSamples:
-    """Kernel samples from a creep record via the similarity route.
-
-    The similarity function is phi0(eps(t))/sigma; its time derivative is
-    the hereditary memory lam*K(t), so the extracted samples carry the
-    intensity scale (the intensity is not separately observable from one
-    creep record). Differentiation is second order.
-    """
-    if hist.kind != KIND_CREEP:
-        raise ValidationError(f"need a {KIND_CREEP} history, got {hist.kind!r}")
-    s = phi0(pl, hist.values) / hist.driver
-    return _kernel_samples(hist.times, differentiate(s, hist.times))
-
-
-def derive_samples_from_isochrones(iso: IsochroneDataset,
-                                   pl0: PowerLaw) -> KernelSamples:
-    """Similarity means differentiated on the isochrone time grid.
-
-    Like the creep-record route, the result carries the intensity scale
-    inside the sample values. A mean that underflows to 0 (phi0 vanishing at
-    every strain level) is a DomainError.
-    """
-    # imported per call: perfbench's layer tracer wraps spline.similarity_means
-    from .spline import similarity_means
-
-    s_bar = similarity_means(iso, pl0)
-    if not np.all(s_bar > 0.0):
-        raise DomainError(f"the similarity mean underflows to 0 at t = "
-                          f"{fmt9(iso.times[s_bar <= 0.0][0])}: the kernel "
-                          f"samples are undefined")
-    return _kernel_samples(iso.times, differentiate(s_bar, iso.times))
-
-
 def _header(cfg: RunConfig, digests: dict) -> dict:
     head = {"version": __version__, "mode": cfg.mode}
     if not cfg.no_timestamp:
@@ -531,16 +482,15 @@ def _run_simulate(cfg: RunConfig) -> Report:
         value_header = "t,eps"
     elif cfg.kind == "relaxation":
         hist = simulate_relaxation(kp, pl, cfg.eps, grid)
-        raw = relaxation_kernel_from_history(hist, pl, lam=1.0)
-        samples = _kernel_samples(raw.times, raw.values)
+        samples = relaxation_kernel_from_history(hist, pl)
         model = relaxation_kernel(kp, samples.times).checked(samples.times)
         value_header = "t,sigma"
     else:
         raise ValidationError(f"unknown simulate kind {cfg.kind!r}")
 
-    # The simulators' grid starts at t = 0 (material._check_grid) and
-    # _kernel_samples drops exactly that row, so the sample and isochrone
-    # times are hist.times[1:]: each time is rendered once, for every file.
+    # The simulators' grid starts at t = 0 (material._check_grid), the one
+    # row spline._kernel_samples drops, so the sample and isochrone times are
+    # hist.times[1:]: each time is rendered once, for every file.
     time_fields = "".join(fmt9_columns([hist.times])).splitlines()
     sample_fields = time_fields[1:]
     outputs = {}

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -86,7 +87,7 @@ class WeightConfig:
     def __post_init__(self):
         for name in ("lambda0", "q0", "gamma"):
             _check_positive(name, getattr(self, name))
-        if not isinstance(self.m, int) or self.m < 2:
+        if not isinstance(self.m, numbers.Integral) or self.m < 2:
             raise DomainError(f"m must be an integer >= 2, got {self.m}")
 
 

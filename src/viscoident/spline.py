@@ -20,6 +20,12 @@ interpolation and the 2C = 2*t*3D identity hold bitwise.
 
 The segment notation carries a nonlinearity exponent in the source scheme,
 but the algebra above does not depend on it; segments here are exponent-free.
+
+This module holds kernel samples end to end: the ``KernelSamples`` type,
+the three routes that make them from a record (a creep history, a
+relaxation history, an isochrone matrix through its similarity means),
+each differentiating the record and dropping a t = 0 row in
+``_kernel_samples``, and the spline fitted to them.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from .errors import (
     SingularDenominatorError,
     ValidationError,
 )
-from .material import PowerLaw, phi0
+from .material import (KIND_CREEP, KIND_RELAXATION, PowerLaw, ResponseHistory,
+                       differentiate, phi0)
 
 TABLE1_RESOURCE = "table1_kernel_samples.csv"
 
@@ -168,6 +175,62 @@ def similarity_means(data: IsochroneDataset, pl: PowerLaw) -> np.ndarray:
         )
     unit = data.phi_t / scale
     return (phi_inst @ unit) / np.sum(unit ** 2, axis=0) / scale
+
+
+def _kernel_samples(times: np.ndarray, values: np.ndarray) -> KernelSamples:
+    """Kernel samples of a differentiated record less a t = 0 row (K is singular)."""
+    start = int(times[0] == 0.0)
+    return KernelSamples(times[start:], values[start:])
+
+
+def extract_creep_kernel_samples(hist: ResponseHistory,
+                                 pl: PowerLaw) -> KernelSamples:
+    """Kernel samples from a creep record via the similarity route.
+
+    The similarity function is phi0(eps(t))/sigma; its time derivative is
+    the hereditary memory lam*K(t), so the extracted samples carry the
+    intensity scale (the intensity is not separately observable from one
+    creep record). Differentiation is second order.
+    """
+    if hist.kind != KIND_CREEP:
+        raise DomainError(f"need a {KIND_CREEP} history, got kind {hist.kind!r}")
+    s = phi0(pl, hist.values) / hist.driver
+    return _kernel_samples(hist.times, differentiate(s, hist.times))
+
+
+def relaxation_kernel_from_history(hist: ResponseHistory,
+                                   pl: PowerLaw) -> KernelSamples:
+    """Kernel samples lam*R(t_j) = -sigma'(t_j) / phi0(eps_const) from a
+    relaxation record; like the creep route, they carry the intensity scale.
+    A phi0(eps_const) that underflows to 0 is a DomainError: the samples
+    would be 0/0."""
+    if hist.kind != KIND_RELAXATION:
+        raise DomainError(
+            f"need a {KIND_RELAXATION} history, got kind {hist.kind!r}"
+        )
+    phi_held = phi0(pl, hist.driver)
+    if phi_held == 0.0:
+        raise DomainError(f"phi0 of the held strain eps = {hist.driver} underflows "
+                          f"to 0 at H = {pl.H}, q = {pl.q}: the kernel samples "
+                          f"are undefined")
+    return _kernel_samples(hist.times,
+                           -differentiate(hist.values, hist.times) / phi_held)
+
+
+def derive_samples_from_isochrones(iso: IsochroneDataset,
+                                   pl0: PowerLaw) -> KernelSamples:
+    """Similarity means differentiated on the isochrone time grid.
+
+    Like the record routes, the result carries the intensity scale inside
+    the sample values. A mean that underflows to 0 (phi0 vanishing at every
+    strain level) is a DomainError.
+    """
+    s_bar = similarity_means(iso, pl0)
+    if not np.all(s_bar > 0.0):
+        raise DomainError(f"the similarity mean underflows to 0 at t = "
+                          f"{iso.times[s_bar <= 0.0][0]:.9g}: the kernel "
+                          f"samples are undefined")
+    return _kernel_samples(iso.times, differentiate(s_bar, iso.times))
 
 
 def fit_kernel_spline(samples: KernelSamples) -> Spline:

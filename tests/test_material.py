@@ -1,6 +1,7 @@
 """Power law, forward simulators, kernel extraction, resolvent consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,26 +179,29 @@ class TestKernelFromHistory:
     def test_constant_stress_gives_zero(self):
         t = np.linspace(0.0, 2.0, 11)
         hist = ResponseHistory(t, np.full_like(t, 4.0), KIND_RELAXATION, 1.0)
-        out = relaxation_kernel_from_history(hist, PowerLaw(1.0, 1.0), 0.5)
+        out = relaxation_kernel_from_history(hist, PowerLaw(1.0, 1.0))
+        assert np.array_equal(out.times, t[1:])
         assert np.allclose(out.values, 0.0)
 
     def test_linear_history_hand_value(self):
-        # sigma = phi0(eps)*(1 - c*t) with H = q = eps = lam = 1 gives c
+        # sigma = phi0(eps)*(1 - c*t) with H = q = eps = 1 gives lam*R = c
         c = 0.25
         t = np.linspace(0.0, 2.0, 9)
         hist = ResponseHistory(t, 1.0 - c * t, KIND_RELAXATION, 1.0)
-        out = relaxation_kernel_from_history(hist, PowerLaw(1.0, 1.0), 1.0)
-        assert out.values == pytest.approx(np.full_like(t, c), rel=1e-12)
+        out = relaxation_kernel_from_history(hist, PowerLaw(1.0, 1.0))
+        assert np.array_equal(out.times, t[1:])
+        assert out.values == pytest.approx(np.full(len(t) - 1, c), rel=1e-12)
 
     def test_round_trip_against_kernel(self):
         kp = KernelParams(0.5, 0.0, 0.1)
         pl = PowerLaw(1.0, 1.0)
         grid = np.linspace(0.0, 2.0, 512)
         hist = simulate_relaxation(kp, pl, 1.0, grid)
-        out = relaxation_kernel_from_history(hist, pl, kp.lam)
+        out = relaxation_kernel_from_history(hist, pl)
+        assert len(out) == len(grid) - 1 and out.times[0] == grid[1]
         inner = (out.times >= 0.1) & (out.times <= 1.9)
         expected = np.array(
-            [relaxation_kernel(kp, t).value for t in out.times[inner]]
+            [kp.lam * relaxation_kernel(kp, t).value for t in out.times[inner]]
         )
         assert np.max(np.abs(out.values[inner] / expected - 1.0)) < 0.01
 
@@ -205,14 +209,11 @@ class TestKernelFromHistory:
         t = np.linspace(0.0, 1.0, 5)
         creep_like = ResponseHistory(t, t + 1.0, "creep-at-constant-stress", 1.0)
         with pytest.raises(DomainError):
-            relaxation_kernel_from_history(creep_like, PowerLaw(1.0, 1.0), 1.0)
+            relaxation_kernel_from_history(creep_like, PowerLaw(1.0, 1.0))
         short = ResponseHistory(np.array([0.0, 1.0]), np.array([1.0, 0.9]),
                                 KIND_RELAXATION, 1.0)
         with pytest.raises(InsufficientDataError):
-            relaxation_kernel_from_history(short, PowerLaw(1.0, 1.0), 1.0)
-        ok = ResponseHistory(t, 1.0 - 0.1 * t, KIND_RELAXATION, 1.0)
-        with pytest.raises(DomainError):
-            relaxation_kernel_from_history(ok, PowerLaw(1.0, 1.0), 0.0)
+            relaxation_kernel_from_history(short, PowerLaw(1.0, 1.0))
 
     def test_underflowing_held_stress(self):
         # phi0(1e-300) at q = 3 is 0: the extraction would divide 0 by 0
@@ -221,7 +222,22 @@ class TestKernelFromHistory:
         with pytest.raises(DomainError, match=r"^phi0 of the held strain "
                            r"eps = 1e-300 underflows to 0 at H = 1.0, q = 3.0: "
                            r"the kernel samples are undefined$"):
-            relaxation_kernel_from_history(hist, pl, 1.0)
+            relaxation_kernel_from_history(hist, pl)
+
+    def test_samples_do_not_depend_on_held_strain(self):
+        # phi0(1e-30) = 1e-30 scales the record and divides out again; a
+        # product of it with a tiny intensity used to underflow here
+        kp, pl = KernelParams(0.5, 0.0, 0.8), PowerLaw(1.0, 1.0)
+        grid = np.linspace(0.0, 0.005, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = relaxation_kernel_from_history(
+                simulate_relaxation(kp, pl, 1e-30, grid), pl)
+        unit = relaxation_kernel_from_history(
+            simulate_relaxation(kp, pl, 1.0, grid), pl)
+        assert np.all(np.isfinite(tiny.values))
+        assert np.array_equal(tiny.times, unit.times)
+        assert np.max(np.abs(tiny.values / unit.values - 1.0)) < 1e-12
 
     def test_two_samples_are_too_few_to_differentiate(self):
         # the one-sided second-order ends need three samples

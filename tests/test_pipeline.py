@@ -1,6 +1,7 @@
 """Ingestion, run modes, report serialization, CLI contract."""
 
 import hashlib
+import importlib.util
 import json
 import warnings
 from dataclasses import astuple
@@ -423,6 +424,18 @@ class TestSampleDerivation:
                            r"are undefined$"):
             derive_samples_from_isochrones(iso, v.PowerLaw(1.0, 1e300))
 
+    @pytest.mark.parametrize("route, kind, other", [
+        (extract_creep_kernel_samples, v.KIND_CREEP, v.KIND_RELAXATION),
+        (v.relaxation_kernel_from_history, v.KIND_RELAXATION, v.KIND_CREEP),
+    ], ids=["creep", "relaxation"])
+    def test_record_of_the_wrong_kind(self, route, kind, other):
+        # the twin routes refuse a record of the other kind with one error
+        t = np.linspace(0.0, 1.0, 5)
+        hist = v.ResponseHistory(t, 1.0 + 0.1 * t, other, 1.0)
+        with pytest.raises(DomainError, match=rf"^need a {kind} history, "
+                           rf"got kind '{other}'$"):
+            route(hist, v.PowerLaw(1.0, 1.0))
+
     def test_only_a_t0_row_is_dropped(self):
         # the kernel is singular at t = 0 only
         pl = v.PowerLaw(1.0, 1.0)
@@ -447,7 +460,6 @@ class TestReport:
         assert fmt9(1.0 / 3.0) == "0.333333333"
         assert fmt9(55000.0 / 3.0) == "18333.3333"
         assert fmt9(7) == "7"
-        assert fmt9(True) == "True"
 
     @given(float_tables())
     def test_table_rows_match_scalar_rendering(self, table):
@@ -690,6 +702,46 @@ class TestRunModes:
                         model_samples=str(other), no_timestamp=True)
         with pytest.raises(ValidationError):
             run(cfg)
+
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+class TestTracedRoutes:
+    """The benchmark's layer tracer sees the routes to kernel samples."""
+
+    @pytest.fixture
+    def tracer(self):
+        spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        tracer = layers.Tracer(v)
+        tracer.install()
+        try:
+            yield tracer
+        finally:
+            tracer.uninstall()
+
+    @staticmethod
+    def spans(tracer):
+        """(name, parent span name) of every span of the current operation."""
+        names = {span[0]: span[1] for span in tracer.spans}
+        return [(span[1], names.get(span[2])) for span in tracer.spans]
+
+    def test_similarity_means_nest_under_extract(self, tmp_path, tracer):
+        run(RunConfig(mode="simulate", grid=(0.0, 0.005, 64),
+                      output=str(tmp_path / "syn"), no_timestamp=True))
+        tracer.start_op(0)
+        run(RunConfig(mode="identify", lambda0=0.9, no_timestamp=True,
+                      isochrones=str(tmp_path / "syn_isochrones.csv")))
+        assert ("spline.similarity", "pipeline.extract") in self.spans(tracer)
+
+    def test_relaxation_route_is_traced(self, tmp_path, tracer):
+        tracer.start_op(0)
+        run(RunConfig(mode="simulate", kind="relaxation", grid=(0.0, 0.005, 64),
+                      output=str(tmp_path / "rel"), no_timestamp=True))
+        names = [name for name, _ in self.spans(tracer)]
+        assert names.count("material.relaxation_kernel_from_history") == 1
 
 
 class TestCli:

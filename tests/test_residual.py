@@ -653,8 +653,29 @@ class TestWeightConfigValidation:
             for bad in (0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(DomainError, match=f"^{name} must"):
                     WeightConfig(**{name: bad})
-        with pytest.raises(DomainError):
-            WeightConfig(m=1)
+        for m in (1, 2.5):
+            with pytest.raises(DomainError,
+                               match=rf"^m must be an integer >= 2, got {m}$"):
+                WeightConfig(m=m)
+
+    def test_numpy_orders(self, table1, table1_segments):
+        # a numpy integer is an order like the Python int of the same value
+        assert WeightConfig(m=np.int64(3)).m == 3
+        want, got = (
+            identify(table1, table1_segments, None, WeightConfig(lambda0=0.9),
+                     sigma=1.0, pl0=PowerLaw(1.0, 1.0), strain_levels=[1.5],
+                     m_range=m_range)
+            for m_range in (range(2, 9), np.arange(2, 9))
+        )
+        assert got.m_selected == want.m_selected
+        for name in ("lambda_hat", "q_hat", "delta", "weights"):
+            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_empty_m_range(self, table1, table1_segments):
+        with pytest.raises(DomainError, match="^m_range must be nonempty$"):
+            identify(table1, table1_segments, None, WeightConfig(lambda0=0.9),
+                     sigma=1.0, pl0=PowerLaw(1.0, 1.0), m_range=())
 
 
 # the six functions that take one entry per sample, as
