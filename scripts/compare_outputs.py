@@ -25,8 +25,10 @@ constant stress on 256 points) and the ``hereditary_convolution`` of one
 non-uniform 256-point grid. It also hashes the ``--help`` text, the exit code
 and the first line of stderr of each failing call of the CLI and ingestion
 tests, of the estimator's failure paths (a zero residual, a zero terminal
-residual, an order below 2) and of the three routes to kernel samples on two
-samples (a two-point simulate of either kind, a two-time isochrone file),
+residual, an order below 2, a model sample file of as many rows as the data
+on other times, strain levels given with an isochrone file) and of the
+three routes to kernel samples on two samples (a two-point simulate of
+either kind, a two-time isochrone file),
 of a power law that overflows or that underflows to 0 (the creep strains,
 the held relaxation stress, every isochrone similarity mean), and the
 validate and ``table1 --input`` reports of the 16-row fixture. It prints the
@@ -199,6 +201,8 @@ def failing_calls(vi, data: Path) -> dict:
         "steps": [(1, 10), (2, 8), (3, 7), (4, 6)],
         "pole-model": [(1, 10), (2, 9), (3, 8), (4, 7)],
         "terminal-model": [(1, 9), (2, 9), (3, 8), (4, 6)],
+        # the 16-row fixture's values on times one later
+        "table1-shifted": zip(fixture.times + 1.0, fixture.values),
     }
     for name, rows in inputs.items():
         body = "".join(f"{float(t)!r},{float(k)!r}\n" for t, k in rows)
@@ -220,6 +224,8 @@ def failing_calls(vi, data: Path) -> dict:
         calls[f"{model}-model"] = [
             "--mode", "identify", "--input", path["steps"], "--model-samples",
             path[f"{model}-model"], "--lambda0", "1", "--eval-at-knots"]
+    calls["model-off-times"] = ["--mode", "identify", "--input", path["table1"],
+                                "--model-samples", path["table1-shifted"]]
     for kind in ("creep", "relaxation"):
         calls[f"overflow-{kind}"] = [
             "--mode", "simulate", "--kind", kind, "--beta", "1",
@@ -245,6 +251,9 @@ def failing_calls(vi, data: Path) -> dict:
         calls[f"power-law-q0-huge{name}"] = [
             "--mode", "identify", "--isochrones", str(data / f"strains{name}.csv"),
             "--q0", "1e300", "--lambda0", "0.9"]
+    calls["strain-levels-with-isochrones"] = [
+        "--mode", "identify", "--isochrones", str(data / "strains.csv"),
+        "--strain-levels", "5,6,7", "--lambda0", "0.9"]
     (data / "two-times.csv").write_text("eps,0,1\n0.5,2,1.8\n1.0,4,3.6\n")
     calls["two-time-isochrones"] = ["--mode", "identify", "--isochrones",
                                     str(data / "two-times.csv")]

@@ -9,31 +9,27 @@ from __future__ import annotations
 
 
 class ViscoidentError(Exception):
-    """Base class for all library errors."""
-
-
-class ParseError(ViscoidentError):
-    """Malformed input file. Carries the 1-based row number when known."""
-
-    exit_code = 1
+    """Base class for all library errors. ``row`` is the 1-based physical
+    line of an input file the error concerns, or None; when given, the
+    message starts with ``row N: ``."""
 
     def __init__(self, message: str, row: int | None = None):
         self.row = row
         if row is not None:
             message = f"row {row}: {message}"
         super().__init__(message)
+
+
+class ParseError(ViscoidentError):
+    """Malformed input file."""
+
+    exit_code = 1
 
 
 class ValidationError(ViscoidentError):
     """Well-formed input that violates a data invariant."""
 
     exit_code = 2
-
-    def __init__(self, message: str, row: int | None = None):
-        self.row = row
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
 
 
 class DomainError(ViscoidentError):

@@ -320,10 +320,10 @@ def ingest_isochrones(path: str | Path) -> tuple[IsochroneDataset, str]:
     head = _parse_table(["0" + comma + times])  # the label parsed as a 0
     if head is None:
         raise ParseError("time header holds a non-numeric field",
-                         row=lines.index(rows[0]) + 1)
+                         row=_line_numbers(lines)[0])
     if not np.all(np.isfinite(head)):
         raise ValidationError("non-finite isochrone time",
-                              row=lines.index(rows[0]) + 1)
+                              row=_line_numbers(lines)[0])
     table = _parse_table(rows[1:])
     if table is None or table.shape[1] != head.shape[1]:
         raise _row_error(lines, header=True, width=head.shape[1])
@@ -413,22 +413,15 @@ def _run_identify(cfg: RunConfig) -> Report:
     if samples is None:
         samples = derive_samples_from_isochrones(iso, pl0)
 
-    model_ref = False
-    if cfg.model_samples:
-        ref, digests["model_samples"] = ingest_kernel_samples(cfg.model_samples)
-        if not np.array_equal(ref.times, samples.times):
-            raise ValidationError(
-                "model sample times must match the data sample times"
-            )
-        segments = fit_kernel_spline(ref)
-        model_ref = True
-    else:
-        segments = fit_kernel_spline(samples)
+    model_ref = bool(cfg.model_samples)
+    fitted = samples
+    if model_ref:
+        fitted, digests["model_samples"] = ingest_kernel_samples(cfg.model_samples)
+    segments = fit_kernel_spline(fitted)
 
-    strain_levels = np.array(cfg.strain_levels) if cfg.strain_levels else None
     result = identify(
         samples, segments, iso, wcfg, sigma=sigma_over_h, pl0=pl0,
-        strain_levels=strain_levels, at_knots=cfg.eval_at_knots,
+        strain_levels=cfg.strain_levels or None, at_knots=cfg.eval_at_knots,
         m_range=cfg.m_range, model_segments=model_ref,
     )
 
@@ -471,12 +464,7 @@ def _run_simulate(cfg: RunConfig) -> Report:
         samples = extract_creep_kernel_samples(hist, pl)
         model = creep_kernel(kp, samples.times).checked(samples.times)
         phi_inst = phi0(pl, hist.values)
-        s_fun = phi_inst / cfg.sigma
-        if not np.all(s_fun[1:] > 0.0):  # each isochrone value divides by it
-            t = hist.times[1:][s_fun[1:] <= 0.0][0]
-            raise DomainError(f"the similarity function phi0(eps)/sigma "
-                              f"underflows to 0 at t = {fmt9(t)}: the "
-                              f"isochrones are undefined")
+        s_fun = phi_inst / hist.driver  # the route refused a zero after t = 0
         iso = IsochroneDataset(hist.values[1:], hist.times[1:],
                                phi_inst[1:, None] / s_fun[None, 1:])
         value_header = "t,eps"

@@ -122,11 +122,17 @@ def _stage1(samples: KernelSamples, segments: Spline, lambda0: float, t_eval,
             weights=None) -> tuple[np.ndarray, np.ndarray, float]:
     """The one spline pass: model values K_j(t_eval_j), residuals
     r_j = K(t_j) - lambda0*K_j(t_eval_j) and the terminal residual r_n (the
-    last segment at t_star), checking one segment, evaluation time and any
-    finite weight per sample; DomainError if lambda0*K_j is not finite."""
+    last segment at t_star), checking one segment at each sample time, one
+    evaluation time and any finite weight per sample; DomainError if
+    lambda0*K_j is not finite."""
     n = len(samples)
     if len(segments) != n:
         raise DomainError(f"need one segment per sample ({n}), got {len(segments)}")
+    if not np.array_equal(segments.t, samples.times):
+        j = np.flatnonzero(segments.t != samples.times)[0]
+        raise DomainError(f"the segments must be anchored at the sample times: "
+                          f"segment {j + 1} is at t = {segments.t[j]:.9g}, "
+                          f"sample {j + 1} at t = {samples.times[j]:.9g}")
     for name, arg in (("evaluation time", t_eval), ("weight", weights)):
         if arg is not None and np.shape(arg) != (n,):
             raise DomainError(f"need one {name} per sample ({n}), "
@@ -373,9 +379,10 @@ def identify(samples: KernelSamples, segments: Spline,
              model_segments: bool = False) -> IdentificationResult:
     """Run both estimation stages and reduce the exponent roots.
 
-    Strain levels for the exponent stage come from ``isochrones`` when
-    given, else from ``strain_levels``; with neither, the exponent stage is
-    skipped and q_hat is NaN. Every strain level must be finite and > 0.
+    Strain levels for the exponent stage come from ``isochrones`` or from
+    ``strain_levels``, not both (a DomainError); with neither, the exponent
+    stage is skipped and q_hat is NaN. Every strain level must be finite
+    and > 0. ``segments`` sit at the sample times, one per sample.
 
     ``model_segments`` declares that ``segments`` were fitted to an
     independent unit-intensity kernel model rather than to the samples:
@@ -384,6 +391,8 @@ def identify(samples: KernelSamples, segments: Spline,
     (identically 1 at knot evaluation, so lambda_hat = lambda0).
     """
     if isochrones is not None:
+        if strain_levels is not None:
+            raise DomainError("give strain levels or isochrones, not both")
         strain_levels = isochrones.strain_levels
     eps_levels = None if strain_levels is None else np.asarray(strain_levels, float)
     if eps_levels is not None:

@@ -190,11 +190,16 @@ def extract_creep_kernel_samples(hist: ResponseHistory,
     The similarity function is phi0(eps(t))/sigma; its time derivative is
     the hereditary memory lam*K(t), so the extracted samples carry the
     intensity scale (the intensity is not separately observable from one
-    creep record). Differentiation is second order.
+    creep record). Differentiation is second order. A similarity function
+    that underflows to 0 after t = 0 is a DomainError.
     """
     if hist.kind != KIND_CREEP:
         raise DomainError(f"need a {KIND_CREEP} history, got kind {hist.kind!r}")
     s = phi0(pl, hist.values) / hist.driver
+    if not np.all(s[1:] > 0.0):  # the grid starts at t = 0
+        raise DomainError(f"the similarity function phi0(eps)/sigma underflows "
+                          f"to 0 at t = {hist.times[1:][s[1:] <= 0.0][0]:.9g}: "
+                          f"the kernel samples are undefined")
     return _kernel_samples(hist.times, differentiate(s, hist.times))
 
 

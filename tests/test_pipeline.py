@@ -424,6 +424,19 @@ class TestSampleDerivation:
                            r"are undefined$"):
             derive_samples_from_isochrones(iso, v.PowerLaw(1.0, 1e300))
 
+    def test_underflowing_similarity_function(self):
+        # phi0 at q = 1e-300 flushes every strain after t = 0 to a stress of
+        # 0: the samples would all be 0 (the suite turns RuntimeWarnings
+        # into errors)
+        pl = v.PowerLaw(1.0, 1e-300)
+        hist = v.simulate_creep(v.KernelParams(0.5, 0.0, 0.8), pl, 1.0,
+                                np.linspace(0.0, 0.005, 64))
+        with pytest.raises(DomainError, match=r"^the similarity function "
+                           r"phi0\(eps\)/sigma underflows to 0 at "
+                           r"t = 7\.93650794e-05: the kernel samples are "
+                           r"undefined$"):
+            extract_creep_kernel_samples(hist, pl)
+
     @pytest.mark.parametrize("route, kind, other", [
         (extract_creep_kernel_samples, v.KIND_CREEP, v.KIND_RELAXATION),
         (v.relaxation_kernel_from_history, v.KIND_RELAXATION, v.KIND_CREEP),
@@ -695,12 +708,19 @@ class TestRunModes:
                                    lambda0=0.9, no_timestamp=True))
             assert report.result["lambda_hat"] == "0.910645659"
 
-    def test_model_samples_grid_mismatch(self, tmp_path, table1_file):
+    def test_model_samples_grid_mismatch(self, tmp_path, table1_file, table1):
+        # the estimator refuses segments that are not one per sample time
         other = tmp_path / "other.csv"
         other.write_text("t,K\n0,1\n1,2\n")
         cfg = RunConfig(mode="identify", input=str(table1_file),
                         model_samples=str(other), no_timestamp=True)
-        with pytest.raises(ValidationError):
+        with pytest.raises(DomainError, match=r"^need one segment per sample "
+                           r"\(16\), got 2$"):
+            run(cfg)
+        write_samples_csv(other, table1.times + 1.0, table1.values)
+        with pytest.raises(DomainError, match=r"^the segments must be anchored "
+                           r"at the sample times: segment 1 is at t = 1, "
+                           r"sample 1 at t = 0$"):
             run(cfg)
 
 
@@ -879,6 +899,20 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().err == ""
 
+    def test_strain_levels_with_isochrones(self, tmp_path, capsys):
+        # the strain levels have one source: with both, one error line and
+        # no report, not a report that echoes levels it did not use
+        prefix = str(tmp_path / "syn")
+        run(RunConfig(mode="simulate", output=prefix, no_timestamp=True))
+        report = tmp_path / "report.txt"
+        code = main(["--mode", "identify", "--isochrones",
+                     prefix + "_isochrones.csv", "--strain-levels", "5,6,7",
+                     "--lambda0", "0.9", "--output", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == ("error(DomainError): give strain "
+                                           "levels or isochrones, not both\n")
+        assert not report.exists()
+
     def test_exit_code_no_root(self, table1_file, capsys):
         code = main(["--mode", "identify", "--input", str(table1_file),
                      "--lambda0", "0.9", "--eval-at-knots",
@@ -997,7 +1031,7 @@ class TestCli:
          "finite for strain eps, got 1.31738658"),
         (["--mode", "simulate", "--kind", "creep", "--q", "1e-300"],
          "the similarity function phi0(eps)/sigma underflows to 0 at "
-         "t = 7.93650794e-05: the isochrones are undefined"),
+         "t = 7.93650794e-05: the kernel samples are undefined"),
         (["--mode", "simulate", "--kind", "relaxation", "--eps", "1e-300",
           "--q", "3"],
          "phi0 of the held strain eps = 1e-300 underflows to 0 at H = 1.0, "

@@ -39,6 +39,7 @@ from viscoident.errors import (
 )
 from viscoident.kernels import creep_kernel
 from viscoident.residual import Q_RESIDUAL_RTOL, _exponent_roots, _lambert_w0
+from viscoident.spline import extract_creep_kernel_samples
 
 # bisection oracle, frozen: root of 0.5**q = q
 Q_HALF_ROOT = 0.64118574450498598449
@@ -581,6 +582,14 @@ class TestIdentify:
                      pl0=PowerLaw(1.0, 1.0), strain_levels=np.array([1e6]),
                      at_knots=True)
 
+    def test_strain_levels_have_one_source(self, table1, table1_segments):
+        iso = v.IsochroneDataset([0.5, 0.9], [0.0, 1.0, 2.0],
+                                 [[2.0, 1.8, 1.7], [4.0, 3.6, 3.4]])
+        with pytest.raises(DomainError, match="^give strain levels or "
+                           "isochrones, not both$"):
+            identify(table1, table1_segments, iso, WeightConfig(0.9), sigma=1.0,
+                     pl0=PowerLaw(1.0, 1.0), strain_levels=[5.0, 6.0, 7.0])
+
     def test_weights_and_delta_reported(self, table1, table1_segments):
         cfg = WeightConfig(lambda0=0.9, q0=1.0)
         res = identify(table1, table1_segments, None, cfg, sigma=1.0,
@@ -738,3 +747,22 @@ def test_overflowing_lambda0(table1, table1_segments, stage):
                        r"lambda0 = 1e\+308: lambda0 \* K_j must be finite$"):
         stage(table1, table1_segments, WeightConfig(lambda0=1e308),
               segment_eval_times(table1))
+
+
+@pytest.mark.parametrize("name", [*PER_SAMPLE_CALLS, "identify"])
+def test_segments_off_the_sample_times(name):
+    # the README creep record against segments fitted to the true kernel on
+    # 3x its sample times: identify would give lambda_hat 1.086, not 0.8
+    kp, pl = KernelParams(0.5, 0.0, 0.8), PowerLaw(1.0, 1.5)
+    hist = v.simulate_creep(kp, pl, 1.0, np.linspace(0.0, 0.005, 64))
+    samples = extract_creep_kernel_samples(hist, pl)
+    t = 3.0 * samples.times
+    segments = fit_kernel_spline(KernelSamples(t, creep_kernel(kp, t).checked(t)))
+    calls = {**PER_SAMPLE_CALLS, "identify": lambda d, s, w, t: identify(
+        d, s, None, WeightConfig(1.0), sigma=1.0, pl0=PowerLaw(1.0, 1.0),
+        strain_levels=hist.values[1:], at_knots=True, model_segments=True)}
+    with pytest.raises(DomainError, match=r"^the segments must be anchored at "
+                       r"the sample times: segment 1 is at t = 0\.000238095238, "
+                       r"sample 1 at t = 7\.93650794e-05$"):
+        calls[name](samples, segments, np.ones(len(samples)),
+                    segment_eval_times(samples, at_knots=True))
