@@ -14,7 +14,9 @@ an isochrone file also runs on that file alone (samples derived from the
 matrix, lambda0 0.9), and the README identify also runs on copies of its
 input files with padded fields and with CRLF line ends. The isochrones-only
 identify also runs on the README isochrones with strain levels and values
-times 2**-560, 2**0 and 2**600, written exactly. Simulate runs of both
+times 2**-560, 2**0 and 2**600, written exactly, and the README identify
+without its isochrone file runs with ``--strain-levels 1.05,1.1,1.2`` and
+``--m-range`` 2,4,7 and 3:5, which echo both forms. Simulate runs of both
 kinds on a grid whose times render in exponent notation and on one of
 integral times pin the time column the files share. It hashes
 (SHA-256) every file a simulate run writes, every ``--no-timestamp``
@@ -24,7 +26,8 @@ stress-program operations, five operations of seeds 7, 16, 351, 373 and
 constant stress on 256 points) and the ``hereditary_convolution`` of one
 non-uniform 256-point grid. It also hashes the ``--help`` text, the exit code
 and the first line of stderr of each failing call of the CLI and ingestion
-tests, of the estimator's failure paths (a zero residual, a zero terminal
+tests (among them isochrone files whose strain levels or times are out of
+order), of the estimator's failure paths (a zero residual, a zero terminal
 residual, an order below 2, a model sample file of as many rows as the data
 on other times, strain levels given with an isochrone file) and of the
 three routes to kernel samples on two samples (a two-point simulate of
@@ -70,6 +73,10 @@ MALFORMED = {
     "iso-non-finite-value": ("--isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4,nan\n"),
     "iso-non-finite-level": ("--isochrones", "eps,0,1\n0.5,2,1.8\nnan,4,3.6\n"),
     "iso-non-finite-time": ("--isochrones", "eps,0,inf\n0.5,2,1.8\n1.0,4,3.6\n"),
+    "iso-strain-levels-out-of-order": (
+        "--isochrones", "eps,0,1,2,3\n0.9,4,3.6,3.4,3.2\n0.5,2,1.8,1.7,1.6\n"),
+    "iso-times-out-of-order": (
+        "--isochrones", "eps,0,2,1,3\n0.5,2,1.8,1.7,1.6\n0.9,4,3.6,3.4,3.2\n"),
 }
 # rewritings of an input file that ingestion must accept as the same data
 REWRITES = {
@@ -81,6 +88,9 @@ REWRITES = {
 ISOCHRONE_SCALES = (-560, 0, 600)
 # simulate grids whose times render in exponent notation and as integers
 SIMULATE_GRIDS = ("0:4e-05:9", "0:8:9")
+# strain levels and m ranges of the README identify without its isochrones
+STRAIN_LEVELS = "1.05,1.1,1.2"
+M_RANGES = ("2,4,7", "3:5")
 README_SIMULATE = [
     "--mode", "simulate", "--kind", "creep", "--alpha", "0.5", "--beta", "0",
     "--lam", "0.8", "--H", "1", "--q", "1.5", "--sigma", "1",
@@ -343,6 +353,14 @@ def collect(vi, wl) -> dict:
                 "--lambda0", "1", "--q0", "1", "--sigma-over-H", "1",
                 "--eval-at-knots", "--no-timestamp",
             ], variant, digests)
+        for m_range in M_RANGES:
+            digest_reports(wl, vi.cli, [
+                "--mode", "identify", "--input", prefix + files[0],
+                "--model-samples", prefix + files[1],
+                "--strain-levels", STRAIN_LEVELS, "--m-range", m_range,
+                "--lambda0", "1", "--sigma-over-H", "1",
+                "--eval-at-knots", "--no-timestamp",
+            ], f"readme-strain-levels-m{m_range}", digests)
         for power in ISOCHRONE_SCALES:
             path = Path(prefix + f"_2^{power}_isochrones.csv")
             path.write_text(scaled_isochrones(Path(prefix + files[2]).read_text(),

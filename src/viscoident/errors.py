@@ -54,12 +54,6 @@ class InsufficientDataError(ViscoidentError):
     exit_code = 2
 
 
-class DegenerateColumnError(ViscoidentError):
-    """A similarity-mean column has a vanishing denominator."""
-
-    exit_code = 2
-
-
 class SingularDenominatorError(ViscoidentError):
     """Spline coefficient denominator h_{j-1}(2 t_j - h_{j-1}) vanished or
     underflowed, leaving the segment coefficients non-finite."""

@@ -37,6 +37,7 @@ from .kernels import KernelParams, _antiderivative_grid, _check_domain, _check_p
 KIND_CREEP = "creep-at-constant-stress"
 KIND_RELAXATION = "relaxation-at-constant-strain"
 KIND_STRESS_PROGRAM = "stress-program"
+_HELD_LOADS = {KIND_CREEP: "creep stress", KIND_RELAXATION: "relaxation strain"}
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,8 @@ class PowerLaw:
 class ResponseHistory:
     """Sampled response: strain for creep runs, stress for relaxation runs.
 
-    ``driver`` is the held constant (stress or strain). ``kind`` is one of
-    the module KIND_* constants.
+    ``kind`` is one of the module KIND_* constants; ``driver`` is the held load
+    of a creep or relaxation record, finite and > 0 (a stress program holds none).
     """
 
     times: np.ndarray
@@ -73,6 +74,8 @@ class ResponseHistory:
             raise DomainError("times and values must be 1-d and equally long")
         if not np.all(np.isfinite(v)):
             raise DomainError("history values must be finite")
+        if self.kind in _HELD_LOADS:
+            _check_positive(_HELD_LOADS[self.kind], self.driver)
 
 
 def _finite(arg, message: str, compute):
@@ -124,7 +127,7 @@ def simulate_creep(kp: KernelParams, pl: PowerLaw, sigma: float,
     The convolution collapses, giving
     eps(t) = phi0_inverse(sigma * (1 + lam * integral_0^t K)).
     """
-    _check_positive("creep stress", sigma)
+    _check_positive(_HELD_LOADS[KIND_CREEP], sigma)
     grid = _check_grid(grid)
     integral = _antiderivative_grid(kp.alpha, kp.beta, grid, 1).checked(grid)
     strain = phi0_inverse(pl, sigma * (1.0 + kp.lam * integral))
@@ -138,7 +141,7 @@ def simulate_relaxation(kp: KernelParams, pl: PowerLaw, eps: float,
     sigma(t) = phi0(eps) * (1 - lam * integral_0^t R), where the resolvent
     integral is the creep integral with rate beta + lam.
     """
-    _check_positive("relaxation strain", eps)
+    _check_positive(_HELD_LOADS[KIND_RELAXATION], eps)
     grid = _check_grid(grid)
     integral = _antiderivative_grid(
         kp.alpha, kp.beta + kp.lam, grid, 1).checked(grid)

@@ -250,6 +250,16 @@ def _line_numbers(lines: list[str]) -> list[int]:
     return [n for n, raw in enumerate(lines, start=1) if raw.strip()]
 
 
+def _refuse_row(lines: list[str], first: int, bad, message) -> None:
+    """Raise a ValidationError at the physical line of the first row the
+    boolean mask ``bad`` flags, if any; ``bad[0]`` is non-blank line ``first``
+    (0-based, a header counts). ``message`` is text or a function of i."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValidationError(message(i) if callable(message) else message,
+                              row=_line_numbers(lines)[first + i])
+
+
 def _row_error(lines: list[str], header: bool,
                width: int | None = None) -> ParseError:
     """The error of the first malformed data row; rows count physical lines.
@@ -294,17 +304,11 @@ def ingest_kernel_samples(path: str | Path) -> tuple[KernelSamples, str]:
     if table is None or table.shape[1] not in (2, 3):  # 3: (j, t, K)
         raise _row_error(lines, header)
     arr_t, arr_v = table[:, -2].copy(), table[:, -1].copy()
-    if not np.all(np.isfinite(arr_t)) or not np.all(np.isfinite(arr_v)):
-        bad = int(np.nonzero(~(np.isfinite(arr_t) & np.isfinite(arr_v)))[0][0])
-        raise ValidationError("non-finite sample",
-                              row=_line_numbers(lines)[header + bad])
-    if len(arr_t) > 1 and not np.all(np.diff(arr_t) > 0.0):
-        bad = int(np.nonzero(np.diff(arr_t) <= 0.0)[0][0])
-        raise ValidationError(
-            f"non-increasing times: t[{bad + 1}] = {arr_t[bad]} then "
-            f"{arr_t[bad + 1]}",
-            row=_line_numbers(lines)[header + bad + 1],
-        )
+    _refuse_row(lines, header, ~(np.isfinite(arr_t) & np.isfinite(arr_v)),
+                "non-finite sample")
+    _refuse_row(lines, header + 1, np.diff(arr_t) <= 0.0,
+                lambda i: f"non-increasing times: t[{i + 1}] = {arr_t[i]} "
+                          f"then {arr_t[i + 1]}")
     return KernelSamples(arr_t, arr_v), digest
 
 
@@ -321,24 +325,22 @@ def ingest_isochrones(path: str | Path) -> tuple[IsochroneDataset, str]:
     if head is None:
         raise ParseError("time header holds a non-numeric field",
                          row=_line_numbers(lines)[0])
-    if not np.all(np.isfinite(head)):
-        raise ValidationError("non-finite isochrone time",
-                              row=_line_numbers(lines)[0])
+    _refuse_row(lines, 0, ~np.all(np.isfinite(head), axis=1),
+                "non-finite isochrone time")
     table = _parse_table(rows[1:])
     if table is None or table.shape[1] != head.shape[1]:
         raise _row_error(lines, header=True, width=head.shape[1])
     finite = np.isfinite(table)
-    if not np.all(finite):
-        bad = int(np.nonzero(~np.all(finite, axis=1))[0][0])
-        what = "isochrone value" if finite[bad, 0] else "strain level"
-        raise ValidationError(f"non-finite {what}",
-                              row=_line_numbers(lines)[bad + 1])
-    m = table[:, 1:].copy()
-    if np.any(m <= 0.0):
-        bad = int(np.nonzero(np.any(m <= 0.0, axis=1))[0][0])
-        raise ValidationError("nonpositive isochrone value",
-                              row=_line_numbers(lines)[bad + 1])
-    return IsochroneDataset(table[:, 0].copy(), head[0, 1:], m), digest
+    _refuse_row(lines, 1, ~np.all(finite, axis=1), lambda i: "non-finite " + (
+        "isochrone value" if finite[i, 0] else "strain level"))
+    eps, times, m = table[:, 0].copy(), head[0, 1:], table[:, 1:].copy()
+    _refuse_row(lines, 1, np.any(m <= 0.0, axis=1), "nonpositive isochrone value")
+    if len(times) > 1:  # fewer times is the dataset's own refusal
+        _refuse_row(lines, 1, np.diff(eps, prepend=0.0) <= 0.0,
+                    "strain levels must be positive and increasing")
+        _refuse_row(lines, 0, [times[0] < 0.0 or np.any(np.diff(times) <= 0.0)],
+                    "times must be nonnegative and increasing")
+    return IsochroneDataset(eps, times, m), digest
 
 
 def write_samples_csv(path: str | Path, times, values,

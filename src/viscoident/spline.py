@@ -36,13 +36,13 @@ from importlib import resources
 import numpy as np
 
 from .errors import (
-    DegenerateColumnError,
     DomainError,
     InsufficientDataError,
     OutOfRangeError,
     SingularDenominatorError,
     ValidationError,
 )
+from .kernels import _check_positive
 from .material import (KIND_CREEP, KIND_RELAXATION, PowerLaw, ResponseHistory,
                        differentiate, phi0)
 
@@ -98,7 +98,7 @@ class KernelSamples:
 
 @dataclass(frozen=True)
 class IsochroneDataset:
-    """Isochronous stress values phi_t(eps_i, t_j) on a strain x time grid."""
+    """Isochronous stresses 0 < phi_t(eps_i, t_j) < inf on a strain x time grid."""
 
     strain_levels: np.ndarray
     times: np.ndarray
@@ -123,8 +123,7 @@ class IsochroneDataset:
             raise DomainError(
                 f"phi_t must have shape {(len(eps), len(t))}, got {m.shape}"
             )
-        if not np.all(np.isfinite(m)):
-            raise DomainError("phi_t values must be finite")
+        _check_positive("isochrone values", m)
 
 
 @dataclass(frozen=True)
@@ -162,17 +161,12 @@ def similarity_means(data: IsochroneDataset, pl: PowerLaw) -> np.ndarray:
 
         S_j = sum_i phi0(eps_i) * phi_t(eps_i, t_j) / sum_i phi_t(eps_i, t_j)**2
 
-    Each column is divided by its largest magnitude c_j before it is
+    Each column is divided by its largest value c_j > 0 before it is
     squared, so the sums neither overflow nor underflow at any data scale,
     and a power-of-two rescaling of a column rescales S_j exactly.
     """
     phi_inst = phi0(pl, data.strain_levels)
-    scale = np.max(np.abs(data.phi_t), axis=0)
-    bad = np.flatnonzero(scale == 0.0)
-    if bad.size:
-        raise DegenerateColumnError(
-            f"isochrone column {bad[0] + 1} is identically zero"
-        )
+    scale = np.max(data.phi_t, axis=0)
     unit = data.phi_t / scale
     return (phi_inst @ unit) / np.sum(unit ** 2, axis=0) / scale
 

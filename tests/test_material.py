@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscoident import (
+    KIND_CREEP,
     KIND_RELAXATION,
     KIND_STRESS_PROGRAM,
     KernelParams,
@@ -27,6 +28,7 @@ from viscoident import (
 from viscoident.errors import ConvergenceError, DomainError, InsufficientDataError
 from viscoident.kernels import ABS_TOL, _antiderivative_grid
 from viscoident.material import differentiate
+from viscoident.spline import extract_creep_kernel_samples
 
 # 200-term summation at 50 decimal digits (mpmath), frozen:
 #   1 - 0.1 * sum_n (-0.1)**n / Gamma(0.5*(1+n)+1)   (resolvent rate 0+0.1)
@@ -476,3 +478,27 @@ class TestResponseHistoryValidation:
         with pytest.raises(DomainError):
             ResponseHistory(np.array([0.0, 1.0]), np.array([1.0, np.inf]),
                             KIND_RELAXATION, 1.0)
+
+    @pytest.mark.parametrize("driver, shown", [
+        (0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf"),
+    ], ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("kind, route, load, sign", [
+        (KIND_CREEP, extract_creep_kernel_samples, "creep stress", 1.0),
+        (KIND_RELAXATION, relaxation_kernel_from_history, "relaxation strain",
+         -1.0),
+    ], ids=["creep", "relaxation"])
+    def test_held_load_refused(self, kind, route, load, sign, driver, shown):
+        # the record refuses the load before a route can divide by it or
+        # blame an underflow, with no RuntimeWarning on the way
+        t = np.linspace(0.0, 1.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^{load} must be finite "
+                               rf"and > 0, got {shown}$"):
+                route(ResponseHistory(t, 1.0 + sign * 0.1 * t, kind, driver),
+                      PowerLaw(1.0, 1.0))
+
+    def test_stress_program_holds_no_load(self):
+        t = np.linspace(0.0, 1.0, 5)
+        hist = ResponseHistory(t, np.ones(5), KIND_STRESS_PROGRAM, 0.0)
+        assert hist.driver == 0.0

@@ -45,7 +45,7 @@ SPECIAL_FLOATS = (
 EXIT_CODES = {
     "ParseError": 1,
     "ValidationError": 2, "DomainError": 2, "InsufficientDataError": 2,
-    "DegenerateColumnError": 2, "OutOfRangeError": 2,
+    "OutOfRangeError": 2,
     "ConvergenceError": 3, "SingularDenominatorError": 3,
     "DegenerateNormalizationError": 3, "DegenerateDesignError": 3,
     "PoleError": 3, "InfeasibleEtaError": 3,
@@ -100,6 +100,12 @@ INGEST_CASES = {
                              ValidationError, 3, "non-finite strain level"),
     "iso-non-finite-time": ("isochrones", "\neps,0,inf\n0.5,2,1.8\n",
                             ValidationError, 2, "non-finite isochrone time"),
+    "iso-strain-levels-out-of-order": (
+        "isochrones", "eps,0,1,2,3\n0.9,4,3.6,3.4,3.2\n0.5,2,1.8,1.7,1.6\n",
+        ValidationError, 3, "strain levels must be positive and increasing"),
+    "iso-times-out-of-order": (
+        "isochrones", "eps,0,2,1,3\n0.5,2,1.8,1.7,1.6\n0.9,4,3.6,3.4,3.2\n",
+        ValidationError, 1, "times must be nonnegative and increasing"),
 }
 
 # data rows that both ingesters reject, as (sample row, isochrone row)
@@ -912,6 +918,31 @@ class TestCli:
         assert capsys.readouterr().err == ("error(DomainError): give strain "
                                            "levels or isochrones, not both\n")
         assert not report.exists()
+
+    def test_strain_levels_and_m_range_run(self, tmp_path, capsys):
+        # a run that reaches the exponent stage through --strain-levels
+        # echoes the levels and the m range in either form, and reports the
+        # q_hat of the library call with the same levels and orders
+        prefix = str(tmp_path / "syn")
+        run(RunConfig(mode="simulate", output=prefix, no_timestamp=True))
+        args = ["--mode", "identify", "--input", prefix + "_kernel_samples.csv",
+                "--model-samples", prefix + "_model_samples.csv",
+                "--strain-levels", "1.05,1.1,1.2", "--lambda0", "1",
+                "--sigma-over-H", "1", "--eval-at-knots", "--no-timestamp"]
+        assert main(args + ["--m-range", "2,4,7"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        samples, _ = ingest_kernel_samples(prefix + "_kernel_samples.csv")
+        model, _ = ingest_kernel_samples(prefix + "_model_samples.csv")
+        result = v.identify(samples, v.fit_kernel_spline(model), None,
+                            v.WeightConfig(), sigma=1.0, pl0=v.PowerLaw(1.0, 1.0),
+                            strain_levels=(1.05, 1.1, 1.2), at_knots=True,
+                            m_range=(2, 4, 7), model_segments=True)
+        for line in ("m_range: 2,4,7", "strain_levels: 1.05;1.1;1.2",
+                     f"q_hat: {fmt9(result.q_hat)}", "m_selected: 7",
+                     "q_pairs_failed: 0"):
+            assert line in out
+        assert main(args + ["--m-range", "3:5"]) == 0
+        assert "m_range: 3:5" in capsys.readouterr().out.splitlines()
 
     def test_exit_code_no_root(self, table1_file, capsys):
         code = main(["--mode", "identify", "--input", str(table1_file),

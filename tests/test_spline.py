@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from viscoident import (
+    KIND_RELAXATION,
     IsochroneDataset,
     KernelSamples,
     PowerLaw,
+    ResponseHistory,
     compare_table1,
     eval_kernel_spline,
     fit_kernel_spline,
@@ -20,7 +22,6 @@ from viscoident import (
     table1_fixture,
 )
 from viscoident.errors import (
-    DegenerateColumnError,
     DomainError,
     InsufficientDataError,
     OutOfRangeError,
@@ -63,6 +64,53 @@ class TestFixture:
             KernelSamples(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             KernelSamples(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
+
+
+# records built with an input that no consumer can use: (type, arguments,
+# message), each refused with a DomainError; the isochrone values are
+# TestSimilarityMeans' cases
+RECORD_REFUSALS = {
+    "samples-2d": (KernelSamples, ([[0.0, 1.0]], [[1.0, 2.0]]),
+                   "times and values must be 1-d and equally long"),
+    "samples-unequal": (KernelSamples, ([0.0, 1.0], [1.0]),
+                        "times and values must be 1-d and equally long"),
+    "samples-empty": (KernelSamples, ([], []), "need at least one sample"),
+    "iso-no-level": (IsochroneDataset, ([], [0.0, 1.0], np.ones((0, 2))),
+                     "need at least one strain level"),
+    "iso-one-time": (IsochroneDataset, ([1.0], [0.0], [[1.0]]),
+                     "need at least two isochrone times"),
+    "iso-levels-unordered": (IsochroneDataset, ([0.9, 0.5], [0.0, 1.0],
+                                                np.ones((2, 2))),
+                             "strain levels must be positive and increasing"),
+    "iso-level-zero": (IsochroneDataset, ([0.0, 0.5], [0.0, 1.0],
+                                          np.ones((2, 2))),
+                       "strain levels must be positive and increasing"),
+    "iso-times-unordered": (IsochroneDataset, ([1.0], [0.0, 2.0, 1.0],
+                                               np.ones((1, 3))),
+                            "times must be nonnegative and increasing"),
+    "iso-time-negative": (IsochroneDataset, ([1.0], [-1.0, 1.0],
+                                             np.ones((1, 2))),
+                          "times must be nonnegative and increasing"),
+    "iso-shape": (IsochroneDataset, ([1.0, 2.0], [0.0, 1.0, 2.0],
+                                     np.ones((3, 2))),
+                  "phi_t must have shape (2, 3), got (3, 2)"),
+    "history-shape": (ResponseHistory, ([0.0, 1.0, 2.0], [1.0, 2.0],
+                                        KIND_RELAXATION, 1.0),
+                      "times and values must be 1-d and equally long"),
+    "history-grid-unordered": (ResponseHistory, ([0.0, 1.0, 1.0],
+                                                 [1.0, 0.9, 0.8],
+                                                 KIND_RELAXATION, 1.0),
+                               "time grid must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", RECORD_REFUSALS)
+def test_record_refusals(case):
+    record, args, message = RECORD_REFUSALS[case]
+    with pytest.raises(DomainError) as err:
+        record(*args)
+    assert type(err.value) is DomainError
+    assert str(err.value) == message
 
 
 class TestFit:
@@ -190,14 +238,26 @@ class TestSimilarityMeans:
         assert similarity_means(data, pl)[1] == pytest.approx(35.0 / 13.0, rel=1e-14)
 
     def test_degenerate_column(self):
-        pl = PowerLaw(H=1.0, q=1.0)
-        data = IsochroneDataset(
-            np.array([1.0, 2.0]),
-            np.array([0.0, 1.0]),
-            np.array([[1.0, 0.0], [2.0, 0.0]]),
-        )
-        with pytest.raises(DegenerateColumnError):
-            similarity_means(data, pl)
+        # a zero column is refused when the dataset is built, so no
+        # similarity mean ever divides by a zero column
+        with pytest.raises(DomainError, match=r"^isochrone values must be "
+                           r"finite and > 0, got 0\.0$"):
+            IsochroneDataset(
+                np.array([1.0, 2.0]),
+                np.array([0.0, 1.0]),
+                np.array([[1.0, 0.0], [2.0, 0.0]]),
+            )
+
+    @pytest.mark.parametrize("value, shown", [
+        (-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"),
+    ], ids=["negative", "nan", "inf"])
+    def test_nonpositive_or_nan_value_refused(self, value, shown):
+        # one bad value refuses the dataset: no route derives samples, or
+        # blames an underflow, from a matrix it holds
+        phi_t = np.array([[1.0, value, 1.2], [2.0, 2.0, 2.4]])
+        with pytest.raises(DomainError, match=rf"^isochrone values must be "
+                           rf"finite and > 0, got {shown}$"):
+            IsochroneDataset(np.array([1.0, 2.0]), np.arange(3.0), phi_t)
 
     def test_overflowing_column(self):
         # column 2's squares would overflow unscaled; its mean is
