@@ -34,7 +34,10 @@ three routes to kernel samples on two samples (a two-point simulate of
 either kind, a two-time isochrone file),
 of a power law that overflows or that underflows to 0 (the creep strains,
 the held relaxation stress, every isochrone similarity mean), and the
-validate and ``table1 --input`` reports of the 16-row fixture. It prints the
+validate and ``table1 --input`` reports of the 16-row fixture. It also
+hashes the ``repr`` of each immutable record type (``KernelParams``,
+``SeriesSum``, ``PowerLaw``, ``ResponseHistory``, ``KernelSamples``,
+``IsochroneDataset``, ``Spline``), built from fixed inputs. It prints the
 outputs whose digests differ and exits 1 if any do, 0 if none do.
 """
 
@@ -324,6 +327,28 @@ def digest_mismatches(vi, wl, digests: dict) -> None:
     digests["reference/mismatch"] = sha256(repr(mismatch).encode())
 
 
+def digest_reprs(vi, digests: dict) -> None:
+    """Digest the repr of each immutable record type, built from fixed inputs."""
+    kp, pl = vi.KernelParams(0.5, 0.1, 0.8), vi.PowerLaw(1.0, 1.5)
+    hist = vi.simulate_creep(kp, pl, 1.0, np.linspace(0.0, 0.005, 8))
+    samples = vi.pipeline.extract_creep_kernel_samples(hist, pl)
+    spline = vi.fit_kernel_spline(samples)
+    records = {
+        "KernelParams": kp,
+        "PowerLaw": pl,
+        "SeriesSum": vi.creep_kernel(kp, 1.0),
+        "SeriesSum-array": vi.creep_kernel(kp, samples.times),
+        "ResponseHistory": hist,
+        "KernelSamples": samples,
+        "Spline": spline,
+        "Spline-row": spline[2],
+        "IsochroneDataset": vi.IsochroneDataset(
+            [0.5, 1.0], [0.0, 1.0, 2.0], [[1.0, 0.9, 0.85], [2.0, 1.8, 1.7]]),
+    }
+    for name, record in records.items():
+        digests[f"repr/{name}"] = sha256(repr(record).encode())
+
+
 def collect(vi, wl) -> dict:
     """Digest of every output, keyed by recipe, workload, seed, op and file."""
     digests = {}
@@ -394,6 +419,7 @@ def collect(vi, wl) -> dict:
                     if argv[1] == "identify":
                         digest_identify(wl, vi.cli, argv, label, digests)
     digest_mismatches(vi, wl, digests)
+    digest_reprs(vi, digests)
     return digests
 
 

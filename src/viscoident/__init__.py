@@ -38,7 +38,6 @@ from .residual import (
     lambda_closed_form,
     lambda_gamma_form,
     omega,
-    residual_delta,
     segment_eval_times,
     select_moment_order,
     solve_q,

@@ -23,13 +23,18 @@ fails with ConvergenceError if that takes more than MAX_TERMS terms.
 Time is treated as dimensionless throughout; beta then carries units
 time**(alpha-1) only in the caller's bookkeeping.
 
+The package's immutable records (here ``KernelParams`` and ``SeriesSum``)
+derive from ``_Record``, a plain class: a frozen dataclass generates and
+compiles its methods at every import of the package, which each CLI call
+pays for.
+
 All functions here are pure; concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -43,24 +48,60 @@ MAX_TERMS = 500
 ABS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class _Record:
+    """Base of the immutable records, with a frozen dataclass's behaviour.
+
+    A subclass names its fields in ``_fields`` and its ``__init__``
+    validates the arguments, then sets the fields once through ``_set``.
+    Assignment and deletion raise FrozenInstanceError; ``repr``, ``==`` and
+    ``hash`` work on the field values in order. The instance keeps its
+    ``__dict__``, which ``copy``, ``deepcopy`` and ``pickle`` restore.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class KernelParams(_Record):
     """Kernel parameters: singularity exponent, rate, hereditary intensity."""
 
-    alpha: float
-    beta: float
-    lam: float
+    _fields = ("alpha", "beta", "lam")
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:  # NaN fails every comparison
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 <= self.beta < math.inf:
-            raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
-        _check_positive("lambda", self.lam)
+    def __init__(self, alpha: float, beta: float, lam: float):
+        if not 0.0 < alpha < 1.0:  # NaN fails every comparison
+            raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+        if not 0.0 <= beta < math.inf:
+            raise DomainError(f"beta must be finite and >= 0, got {beta}")
+        _check_positive("lambda", lam)
+        self._set(alpha, beta, lam)
 
 
-@dataclass(frozen=True)
-class SeriesSum:
+class SeriesSum(_Record):
     """Truncated series value plus truncation diagnostics.
 
     ``value`` has the shape of the argument (a float for a scalar);
@@ -69,10 +110,11 @@ class SeriesSum:
     entries, and the largest term magnitude met.
     """
 
-    value: float | np.ndarray
-    terms: int
-    last_term: float
-    max_term: float
+    _fields = ("value", "terms", "last_term", "max_term")
+
+    def __init__(self, value: float | np.ndarray, terms: int, last_term: float,
+                 max_term: float):
+        self._set(value, terms, last_term, max_term)
 
     @property
     def precision_loss(self):

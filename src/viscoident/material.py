@@ -21,18 +21,20 @@ second antiderivative depends on the lag alone, so its series runs once
 per distinct lag of the grid and one matrix-vector product sums the cells.
 The power law and the simulators work on whole arrays, with no Python loop
 per sample. ``differentiate`` is the one derivative of a record; the
-routes from a record to kernel samples are in ``spline``.
+routes from a record to kernel samples are in ``spline``. ``PowerLaw`` and
+``ResponseHistory`` are immutable records on ``kernels._Record``, plain
+classes so that importing the package generates no code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .kernels import KernelParams, _antiderivative_grid, _check_domain, _check_positive
+from .kernels import (KernelParams, _antiderivative_grid, _check_domain,
+                      _check_positive, _Record)
 
 KIND_CREEP = "creep-at-constant-stress"
 KIND_RELAXATION = "relaxation-at-constant-strain"
@@ -40,42 +42,37 @@ KIND_STRESS_PROGRAM = "stress-program"
 _HELD_LOADS = {KIND_CREEP: "creep stress", KIND_RELAXATION: "relaxation strain"}
 
 
-@dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Record):
     """Instantaneous power law phi0(eps) = (H/q) * eps**q, H > 0, q > 0."""
 
-    H: float
-    q: float
+    _fields = ("H", "q")
 
-    def __post_init__(self):
-        _check_positive("H", self.H)
-        _check_positive("q", self.q)
+    def __init__(self, H: float, q: float):
+        _check_positive("H", H)
+        _check_positive("q", q)
+        self._set(H, q)
 
 
-@dataclass(frozen=True)
-class ResponseHistory:
+class ResponseHistory(_Record):
     """Sampled response: strain for creep runs, stress for relaxation runs.
 
     ``kind`` is one of the module KIND_* constants; ``driver`` is the held load
     of a creep or relaxation record, finite and > 0 (a stress program holds none).
     """
 
-    times: np.ndarray
-    values: np.ndarray
-    kind: str
-    driver: float
+    _fields = ("times", "values", "kind", "driver")
 
-    def __post_init__(self):
-        t = _check_grid(self.times)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+    def __init__(self, times: np.ndarray, values: np.ndarray, kind: str,
+                 driver: float):
+        t = _check_grid(times)
+        v = np.asarray(values, dtype=float)
         if v.shape != t.shape:
             raise DomainError("times and values must be 1-d and equally long")
         if not np.all(np.isfinite(v)):
             raise DomainError("history values must be finite")
-        if self.kind in _HELD_LOADS:
-            _check_positive(_HELD_LOADS[self.kind], self.driver)
+        if kind in _HELD_LOADS:
+            _check_positive(_HELD_LOADS[kind], driver)
+        self._set(t, v, kind, driver)
 
 
 def _finite(arg, message: str, compute):

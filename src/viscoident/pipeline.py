@@ -31,7 +31,7 @@ import json
 import locale
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -146,7 +146,8 @@ class Table:
     ``rows`` holds one newline-terminated line per row, fields joined by
     commas; only the last column may itself contain a comma. A ``j``
     column is the 1-based row index, an int in the JSON form. (A plain
-    class: a dataclass would add about 1 ms to the package import.)
+    class, like ``Report`` and the records: a dataclass would generate its
+    methods at every import of the package.)
     """
 
     def __init__(self, columns: tuple, rows: str):
@@ -165,14 +166,16 @@ class Table:
         return records
 
 
-@dataclass
 class Report:
-    """Ordered report sections; renders as text or JSON losslessly."""
+    """Ordered report sections; renders as text or JSON losslessly.
+    ``tables`` maps a name to a ``Table``; a section left out is empty."""
 
-    header: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    result: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)  # name -> Table
+    def __init__(self, header: dict | None = None, config: dict | None = None,
+                 result: dict | None = None, tables: dict | None = None):
+        self.header = {} if header is None else header
+        self.config = {} if config is None else config
+        self.result = {} if result is None else result
+        self.tables = {} if tables is None else tables
 
     def to_json_dict(self) -> dict:
         return {

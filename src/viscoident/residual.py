@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,16 +91,19 @@ class WeightConfig:
             raise DomainError(f"m must be an integer >= 2, got {self.m}")
 
 
-@dataclass
 class IdentificationResult:
-    """Estimates plus the per-sample and per-pair diagnostics."""
+    """Estimates plus the per-sample and per-pair diagnostics. (A plain
+    class, like ``spline.Spline`` and the other records: a dataclass would
+    generate its methods at every import of the package.)"""
 
-    lambda_hat: float
-    q_hat: float
-    delta: float
-    m_selected: int
-    weights: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, lambda_hat: float, q_hat: float, delta: float,
+                 m_selected: int, weights: np.ndarray, diagnostics: dict | None = None):
+        self.lambda_hat = lambda_hat
+        self.q_hat = q_hat
+        self.delta = delta
+        self.m_selected = m_selected
+        self.weights = weights
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 def segment_eval_times(samples: KernelSamples, at_knots: bool = False) -> np.ndarray:
@@ -231,17 +234,6 @@ def stage1_weights(samples: KernelSamples, segments: Spline,
     """
     _, resid, r_n = _stage1(samples, segments, cfg.lambda0, t_eval)
     return _moment_weights(resid, r_n, cfg.m)
-
-
-def residual_delta(samples: KernelSamples, segments: Spline,
-                   cfg: WeightConfig, t_eval) -> float:
-    """Weighted sum of squares sum_j (w_j * r_j)**2 at the configured m.
-
-    An exact fit (every residual zero) short-circuits to 0 even though the
-    weight normalization is then degenerate.
-    """
-    _, resid, r_n = _stage1(samples, segments, cfg.lambda0, t_eval)
-    return _delta(resid, r_n, cfg.m)
 
 
 def select_moment_order(samples: KernelSamples, segments: Spline,

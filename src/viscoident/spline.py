@@ -25,12 +25,14 @@ This module holds kernel samples end to end: the ``KernelSamples`` type,
 the three routes that make them from a record (a creep history, a
 relaxation history, an isochrone matrix through its similarity means),
 each differentiating the record and dropping a t = 0 row in
-``_kernel_samples``, and the spline fitted to them.
+``_kernel_samples``, and the spline fitted to them. ``KernelSamples``,
+``IsochroneDataset`` and ``Spline`` are immutable records on
+``kernels._Record``, plain classes so that importing the package generates
+no code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -42,7 +44,7 @@ from .errors import (
     SingularDenominatorError,
     ValidationError,
 )
-from .kernels import _check_positive
+from .kernels import _check_positive, _Record
 from .material import (KIND_CREEP, KIND_RELAXATION, PowerLaw, ResponseHistory,
                        differentiate, phi0)
 
@@ -66,18 +68,14 @@ TABLE1_PRINTED_3D = (
 TABLE1_REL_TOL = 0.02
 
 
-@dataclass(frozen=True)
-class KernelSamples:
+class KernelSamples(_Record):
     """Ordered kernel samples (t_j, K(t_j)), j = 1..n."""
 
-    times: np.ndarray
-    values: np.ndarray
+    _fields = ("times", "values")
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+    def __init__(self, times: np.ndarray, values: np.ndarray):
+        t = np.asarray(times, dtype=float)
+        v = np.asarray(values, dtype=float)
         if t.ndim != 1 or v.ndim != 1 or len(t) != len(v):
             raise DomainError("times and values must be 1-d and equally long")
         if len(t) < 1:
@@ -86,6 +84,7 @@ class KernelSamples:
             raise DomainError("sample times and values must be finite")
         if len(t) > 1 and not np.all(np.diff(t) > 0.0):
             raise DomainError("sample times must be strictly increasing")
+        self._set(t, v)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -96,21 +95,16 @@ class KernelSamples:
         return float(self.times[-1])
 
 
-@dataclass(frozen=True)
-class IsochroneDataset:
+class IsochroneDataset(_Record):
     """Isochronous stresses 0 < phi_t(eps_i, t_j) < inf on a strain x time grid."""
 
-    strain_levels: np.ndarray
-    times: np.ndarray
-    phi_t: np.ndarray
+    _fields = ("strain_levels", "times", "phi_t")
 
-    def __post_init__(self):
-        eps = np.asarray(self.strain_levels, dtype=float)
-        t = np.asarray(self.times, dtype=float)
-        m = np.asarray(self.phi_t, dtype=float)
-        object.__setattr__(self, "strain_levels", eps)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "phi_t", m)
+    def __init__(self, strain_levels: np.ndarray, times: np.ndarray,
+                 phi_t: np.ndarray):
+        eps = np.asarray(strain_levels, dtype=float)
+        t = np.asarray(times, dtype=float)
+        m = np.asarray(phi_t, dtype=float)
         if eps.ndim != 1 or len(eps) < 1:
             raise DomainError("need at least one strain level")
         if t.ndim != 1 or len(t) < 2:
@@ -124,10 +118,10 @@ class IsochroneDataset:
                 f"phi_t must have shape {(len(eps), len(t))}, got {m.shape}"
             )
         _check_positive("isochrone values", m)
+        self._set(eps, t, m)
 
 
-@dataclass(frozen=True)
-class Spline:
+class Spline(_Record):
     """The quadratic segments, one entry per knot in each array field.
 
     Row j is the segment anchored at knot ``t[j]``. ``twoC`` and ``threeD``
@@ -136,10 +130,11 @@ class Spline:
     int gives a Spline of scalars, a slice or index array a Spline of arrays.
     """
 
-    t: np.ndarray
-    B: np.ndarray
-    twoC: np.ndarray
-    threeD: np.ndarray
+    _fields = ("t", "B", "twoC", "threeD")
+
+    def __init__(self, t: np.ndarray, B: np.ndarray, twoC: np.ndarray,
+                 threeD: np.ndarray):
+        self._set(t, B, twoC, threeD)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -185,11 +180,16 @@ def extract_creep_kernel_samples(hist: ResponseHistory,
     the hereditary memory lam*K(t), so the extracted samples carry the
     intensity scale (the intensity is not separately observable from one
     creep record). Differentiation is second order. A similarity function
-    that underflows to 0 after t = 0 is a DomainError.
+    that overflows, or that underflows to 0 after t = 0, is a DomainError.
     """
     if hist.kind != KIND_CREEP:
         raise DomainError(f"need a {KIND_CREEP} history, got kind {hist.kind!r}")
-    s = phi0(pl, hist.values) / hist.driver
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        s = phi0(pl, hist.values) / hist.driver
+    if not np.all(np.isfinite(s)):
+        raise DomainError(f"the similarity function phi0(eps)/sigma overflows "
+                          f"at t = {hist.times[~np.isfinite(s)][0]:.9g}: "
+                          f"the kernel samples are undefined")
     if not np.all(s[1:] > 0.0):  # the grid starts at t = 0
         raise DomainError(f"the similarity function phi0(eps)/sigma underflows "
                           f"to 0 at t = {hist.times[1:][s[1:] <= 0.0][0]:.9g}: "

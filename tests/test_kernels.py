@@ -85,6 +85,16 @@ class TestCreepKernel:
         assert "did not converge in 500 terms" in str(err.value)
         assert ABS_TOL < err.value.last_term < math.inf
 
+    def test_overflowing_rate_power_raises(self):
+        # (-beta)**2 overflows as a Python float (OverflowError, not a numpy
+        # inf): the series stops with its last term inf
+        with pytest.raises(ConvergenceError) as err:
+            creep_kernel(KernelParams(0.5, 1e200, 1.0), 1.0)
+        assert type(err.value) is ConvergenceError
+        assert str(err.value) == ("kernel series did not converge in 3 terms "
+                                  "(last term magnitude inf)")
+        assert err.value.last_term == math.inf
+
     def test_float_protocol_and_term_count(self):
         kp = KernelParams(alpha=0.5, beta=0.0, lam=1.0)
         res = creep_kernel(kp, 4.0)

@@ -467,6 +467,16 @@ class TestResolventMismatch:
         with pytest.raises(InsufficientDataError):
             resolvent_mismatch(kp, PowerLaw(1.0, 1.0), self.constant_stress(7))
 
+    def test_negative_stress_program_rejected(self):
+        # a compressive program drives the forward response below 0, where
+        # the power law's inverse is undefined
+        t = np.linspace(0.0, 4.0, 8)
+        hist = ResponseHistory(t, -np.ones(8), KIND_STRESS_PROGRAM, 0.0)
+        with pytest.raises(DomainError) as err:
+            resolvent_mismatch(KernelParams(0.5, 0.1, 0.2), PowerLaw(1.0, 1.0), hist)
+        assert type(err.value) is DomainError
+        assert str(err.value) == "forward response left the power-law domain (phi < 0)"
+
 
 class TestResponseHistoryValidation:
     def test_invariants(self):

@@ -4,7 +4,6 @@ import hashlib
 import importlib.util
 import json
 import warnings
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -202,16 +201,18 @@ def table1_file(tmp_path, table1):
 @pytest.mark.parametrize("case", INGEST_CASES)
 def test_ingestion_error_paths(tmp_path, case):
     ingester, text, error, row, message = INGEST_CASES[case]
-    ingest = {"samples": ingest_kernel_samples,
-              "isochrones": ingest_isochrones}[ingester]
+    ingest, fields = {
+        "samples": (ingest_kernel_samples, ("times", "values")),
+        "isochrones": (ingest_isochrones, ("strain_levels", "times", "phi_t")),
+    }[ingester]
     path = tmp_path / "input.csv"
     path.write_text(text, newline="")
     if error is None:
         clean = tmp_path / "clean.csv"
         clean.write_text(text.replace("\r", "").replace("\n\n", "\n"))
         (got, _), (want, _) = ingest(path), ingest(clean)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(astuple(got), astuple(want), strict=True))
+        assert all(np.array_equal(getattr(got, name), getattr(want, name))
+                   for name in fields)
         return
     with pytest.raises(error) as err:
         ingest(path)
@@ -442,6 +443,17 @@ class TestSampleDerivation:
                            r"t = 7\.93650794e-05: the kernel samples are "
                            r"undefined$"):
             extract_creep_kernel_samples(hist, pl)
+
+    def test_overflowing_similarity_function(self):
+        # a held stress that is finite and > 0 but tiny: phi0(eps)/sigma
+        # overflows at every time, the first being t = 0 (the suite turns
+        # RuntimeWarnings into errors)
+        t = np.linspace(0.0, 1.0, 5)
+        hist = v.ResponseHistory(t, 1.0 + 0.1 * t, v.KIND_CREEP, 1e-310)
+        with pytest.raises(DomainError, match=r"^the similarity function "
+                           r"phi0\(eps\)/sigma overflows at t = 0: the "
+                           r"kernel samples are undefined$"):
+            extract_creep_kernel_samples(hist, v.PowerLaw(1.0, 1.0))
 
     @pytest.mark.parametrize("route, kind, other", [
         (extract_creep_kernel_samples, v.KIND_CREEP, v.KIND_RELAXATION),
@@ -1140,3 +1152,37 @@ class TestCli:
         main(["--mode", "identify", "--input", str(dup)])
         captured = capsys.readouterr()
         assert captured.err.startswith("error(ValidationError):")
+
+    @pytest.mark.parametrize("args, code, error", [
+        (["--mode", "identify"], 2,
+         "ValidationError): identify needs --input or --isochrones"),
+        (["--mode", "simulate"], 2,
+         "ValidationError): simulate needs --output as a file prefix"),
+        (["--mode", "validate"], 2, "ValidationError): validate needs --input"),
+        (["--mode", "identify", "--input", "{binary}"], 1,
+         "ParseError): {binary} is not a text file"),
+    ], ids=["identify-no-input", "simulate-no-output", "validate-no-input",
+            "binary-input"])
+    def test_refused_call_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                            args, code, error):
+        monkeypatch.chdir(tmp_path)
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe")
+        assert main([arg.format(binary=binary) for arg in args]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error({error.format(binary=binary)}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [binary]
+
+    @pytest.mark.parametrize("cfg, message", [
+        (dict(mode="fit"), "unknown mode 'fit'"),
+        (dict(mode="simulate", kind="shear"), "unknown simulate kind 'shear'"),
+    ], ids=["mode", "simulate-kind"])
+    def test_run_refuses_unknown_names(self, tmp_path, cfg, message):
+        # the parser's choices keep these from the CLI; run() is the library's
+        # own entry point and refuses them before writing any file
+        with pytest.raises(ValidationError) as err:
+            run(RunConfig(output=str(tmp_path / "run"), **cfg))
+        assert type(err.value) is ValidationError
+        assert str(err.value) == message
+        assert list(tmp_path.iterdir()) == []

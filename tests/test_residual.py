@@ -21,7 +21,6 @@ from viscoident import (
     lambda_closed_form,
     lambda_gamma_form,
     omega,
-    residual_delta,
     segment_eval_times,
     select_moment_order,
     solve_q,
@@ -38,7 +37,8 @@ from viscoident.errors import (
     ViscoidentError,
 )
 from viscoident.kernels import creep_kernel
-from viscoident.residual import Q_RESIDUAL_RTOL, _exponent_roots, _lambert_w0
+from viscoident.residual import (Q_RESIDUAL_RTOL, _delta, _exponent_roots,
+                                 _lambert_w0, _stage1)
 from viscoident.spline import extract_creep_kernel_samples
 
 # bisection oracle, frozen: root of 0.5**q = q
@@ -59,6 +59,13 @@ def scaled_pair(samples, data_scale=2.0):
     """Samples scaled away from a reference spline fitted to the originals."""
     data = KernelSamples(samples.times, samples.values * data_scale)
     return data, fit_kernel_spline(samples)
+
+
+def stage1_delta(samples, segments, cfg, t_eval):
+    """The weighted residual delta at ``cfg.m``: the estimator's one pass
+    over the spline, then its sum of squares at that order."""
+    _, resid, r_n = _stage1(samples, segments, cfg.lambda0, t_eval)
+    return _delta(resid, r_n, cfg.m)
 
 
 def scalar_exponent_stage(eps_levels, etas):
@@ -148,14 +155,14 @@ class TestResidualDelta:
     def test_exact_fit_gives_zero(self, table1, table1_segments):
         cfg = WeightConfig(lambda0=1.0, q0=1.0, m=2)
         t_eval = segment_eval_times(table1, at_knots=True)
-        assert residual_delta(table1, table1_segments, cfg, t_eval) == 0.0
+        assert stage1_delta(table1, table1_segments, cfg, t_eval) == 0.0
 
     def test_single_sample(self):
         data = KernelSamples(np.array([2.0]), np.array([5.0]))
         seg = v.Spline(np.array([2.0]), np.array([2.0]), np.zeros(1), np.zeros(1))
         cfg = WeightConfig(lambda0=1.0, q0=1.0, m=3)
         # residual 3, terminal residual 3, weight 1/2 -> delta = 2.25
-        assert residual_delta(data, seg, cfg, np.array([2.0])) == pytest.approx(
+        assert stage1_delta(data, seg, cfg, np.array([2.0])) == pytest.approx(
             2.25, rel=1e-14
         )
 
@@ -169,7 +176,7 @@ class TestResidualDelta:
         expected = sum(
             ((1.0 / (1.0 + abs(r / denom) ** 2)) * r) ** 2 for r in resid
         )
-        got = residual_delta(table1, table1_segments, cfg, knots)
+        got = stage1_delta(table1, table1_segments, cfg, knots)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -178,7 +185,7 @@ class TestMomentOrder:
         cfg = WeightConfig(lambda0=0.9, q0=1.0, m=2)
         knots = segment_eval_times(table1, at_knots=True)
         deltas = {
-            m: residual_delta(table1, table1_segments, replace(cfg, m=m), knots)
+            m: stage1_delta(table1, table1_segments, replace(cfg, m=m), knots)
             for m in (2, 3, 4)
         }
         expected = min(sorted(deltas), key=lambda m: deltas[m])
@@ -630,7 +637,7 @@ class TestIdentify:
             m = select_moment_order(data, segs, cfg, t_eval)
             cfg_m = replace(cfg, m=m)
             return (m, stage1_weights(data, segs, cfg_m, t_eval),
-                    residual_delta(data, segs, cfg_m, t_eval),
+                    stage1_delta(data, segs, cfg_m, t_eval),
                     lambda_gamma_form(data, segs, cfg_m, t_eval))
 
         def identified():
@@ -687,13 +694,13 @@ class TestWeightConfigValidation:
                      sigma=1.0, pl0=PowerLaw(1.0, 1.0), m_range=())
 
 
-# the six functions that take one entry per sample, as
-# f(samples, segments, weights, t_eval)
+# the six calls that take one entry per sample, as
+# f(samples, segments, weights, t_eval); "residual_delta" is the delta pass
 PER_SAMPLE_CALLS = {
     "omega": lambda d, s, w, t: omega(d, s, w, 1.0, t),
     "lambda_closed_form": lambda_closed_form,
     "stage1_weights": lambda d, s, w, t: stage1_weights(d, s, WeightConfig(0.9), t),
-    "residual_delta": lambda d, s, w, t: residual_delta(d, s, WeightConfig(0.9), t),
+    "residual_delta": lambda d, s, w, t: stage1_delta(d, s, WeightConfig(0.9), t),
     "select_moment_order":
         lambda d, s, w, t: select_moment_order(d, s, WeightConfig(0.9), t),
     "lambda_gamma_form":
@@ -735,7 +742,7 @@ def test_non_finite_weights(table1, table1_segments, name, bad):
 
 @pytest.mark.parametrize("stage", [
     lambda d, s, cfg, t: omega(d, s, np.ones(len(d)), cfg.lambda0, t),
-    stage1_weights, residual_delta, select_moment_order, lambda_gamma_form,
+    stage1_weights, stage1_delta, select_moment_order, lambda_gamma_form,
     lambda d, s, cfg, t: identify(d, s, None, cfg, sigma=1.0,
                                   pl0=PowerLaw(1.0, 1.0)),
 ], ids=["omega", "stage1_weights", "residual_delta", "select_moment_order",
