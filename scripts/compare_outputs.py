@@ -24,14 +24,15 @@ report, text and JSON, the ``repr`` of every ``resolvent_mismatch`` (the
 stress-program operations, five operations of seeds 7, 16, 351, 373 and
 610 whose mismatch is above the bound, and the benchmark reference gate's
 constant stress on 256 points) and the ``hereditary_convolution`` of one
-non-uniform 256-point grid. It also hashes the ``--help`` text, the exit code
-and the first line of stderr of each failing call of the CLI and ingestion
-tests (among them isochrone files whose strain levels or times are out of
-order), of the estimator's failure paths (a zero residual, a zero terminal
-residual, an order below 2, a model sample file of as many rows as the data
-on other times, strain levels given with an isochrone file) and of the
-three routes to kernel samples on two samples (a two-point simulate of
-either kind, a two-time isochrone file),
+non-uniform 256-point grid and of a uniform and a non-uniform 1000-point
+grid, which span several blocks of output rows. It also hashes the
+``--help`` text, the exit code and the first line of stderr of each failing
+call of the CLI and ingestion tests (among them isochrone files whose
+strain levels or times are out of order), of the estimator's failure paths
+(a zero residual, a zero terminal residual, an order below 2, a model
+sample file of as many rows as the data on other times, strain levels given
+with an isochrone file) and of the three routes to kernel samples on two
+samples (a two-point simulate of either kind, a two-time isochrone file),
 of a power law that overflows or that underflows to 0 (the creep strains,
 the held relaxation stress, every isochrone similarity mean), and the
 validate and ``table1 --input`` reports of the 16-row fixture. It also
@@ -300,8 +301,8 @@ def digest_cli_boundary(vi, wl, data: Path, digests: dict) -> None:
 
 
 def digest_mismatches(vi, wl, digests: dict) -> None:
-    """Digest the repr of each resolvent mismatch and one non-uniform grid's
-    convolution (the convolution layer)."""
+    """Digest the repr of each resolvent mismatch and the convolution of
+    three grids (the convolution layer)."""
     workload = wl.WORKLOADS["stress_program"]
     ops = [(seed, op) for seed in SEEDS
            for op in itertools.islice(workload.ops(seed), OPS_PER_SEED)]
@@ -319,6 +320,13 @@ def digest_mismatches(vi, wl, digests: dict) -> None:
     t *= 4.0 / t[-1]
     conv = vi.hereditary_convolution(0.5, 0.1, t, np.sin(t))
     digests["convolution/non-uniform-256"] = sha256(conv.tobytes())
+    # 1000 points span several blocks of output rows and end in a partial one
+    rng = np.random.default_rng(13)
+    nonuniform = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, 999))])
+    for label, t in {"uniform": np.linspace(0.0, 4.0, 1000),
+                     "non-uniform": nonuniform * 4.0 / nonuniform[-1]}.items():
+        conv = vi.hereditary_convolution(0.5, 0.3, t, np.sin(3.0 * t))
+        digests[f"convolution/{label}-1000"] = sha256(conv.tobytes())
     # the constant stress of perfbench/run.py's reference gate
     t = np.linspace(0.0, 4.0, 256)
     mismatch = vi.resolvent_mismatch(

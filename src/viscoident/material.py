@@ -18,7 +18,9 @@ kernel's first and second antiderivatives: these are series-exact at every
 lag, so the weak singularity never meets a quadrature rule, and the data
 enters only through its first value and the jumps of its slope. The
 second antiderivative depends on the lag alone, so its series runs once
-per distinct lag of the grid and one matrix-vector product sums the cells.
+per distinct lag of the grid; the cells are made, gathered from it and
+summed in blocks of output rows, one matrix-vector product per block, so
+the memory grows as the grid, not as its square.
 The power law and the simulators work on whole arrays, with no Python loop
 per sample. ``differentiate`` is the one derivative of a record; the
 routes from a record to kernel samples are in ``spline``. ``PowerLaw`` and
@@ -168,6 +170,39 @@ def differentiate(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return rate
 
 
+# Output rows per block of the convolution: bounds its lag, index and gathered
+# I2 arrays to BLOCK_ROWS * n cells each, whatever the size of the grid. A
+# multiple of 4: OpenBLAS's matrix-vector kernel sums rows in groups of four,
+# so each row sums in the order of one product over the whole matrix.
+BLOCK_ROWS = 64
+
+
+def _lag_blocks(times: np.ndarray):
+    """(rows, lags) per block of output rows: the lags t_k - t_j of rows k
+    against the grid times t_j, j < n - 1, clamped to 0 where j > k. A block
+    has BLOCK_ROWS rows; the last has 2 to BLOCK_ROWS + 1 (all, for n <= 2),
+    since numpy sums a one-row product as a dot product, in another order
+    than the matrix-vector kernel."""
+    n = len(times)
+    for k in range(0, max(n - 1, 1), BLOCK_ROWS):
+        rows = slice(k, k + BLOCK_ROWS if k + BLOCK_ROWS < n - 1 else n)
+        yield rows, np.maximum(times[rows, None] - times[None, :-1], 0.0)
+
+
+def _distinct(blocks, bound: int) -> np.ndarray:
+    """The sorted distinct values of the arrays ``blocks``. Each block's own
+    distinct values wait to be merged until they outnumber both ``bound``
+    and the values merged so far, so memory stays O(bound + result) and
+    each value is sorted O(1) times on average."""
+    merged, pending, size = np.empty(0), [], 0
+    for block in blocks:
+        pending.append(np.unique(block))
+        size += pending[-1].size
+        if size > max(bound, merged.size):
+            merged, pending, size = np.unique(np.concatenate([merged, *pending])), [], 0
+    return np.unique(np.concatenate([merged, *pending]))
+
+
 def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
                            values: np.ndarray) -> np.ndarray:
     """(K * f)(t_k) on the grid, exact for piecewise-linear f.
@@ -181,11 +216,15 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
     with m_j = (f_j - f_{j+1})/(t_{j+1} - t_j) the slope in the lag variable
     and m_{-1} = 0 (product integration; Linz, Analytical and Numerical
     Methods for Volterra Equations, 1985). I1 runs over the n grid times.
-    The n x (n-1) lag matrix has its cells j > k clamped to lag 0, where I2
-    vanishes, and holds far fewer distinct values than cells (about 3n on
+    The lags t_k - t_j, j < n - 1, are clamped to 0 where j > k, where I2
+    vanishes, and hold far fewer distinct values than cells (about 3.4n on
     an evenly spaced grid, at most n*(n-1)/2 + 1 on any grid), so I2 runs
-    once over the sorted distinct lags and the cells gather from it. Each
-    series value is within ABS_TOL of the exact one, so the result is within
+    once over the sorted distinct lags. The lags are made in blocks of
+    ``BLOCK_ROWS`` output rows, twice: once to collect the distinct lags,
+    once to gather each block's cells from I2 and sum them against the
+    slope jumps, one matrix-vector product per block. Memory is
+    O(BLOCK_ROWS*n + L) for L distinct lags, not O(n**2). Each series
+    value is within ABS_TOL of the exact one, so the result is within
     ABS_TOL*(|f_0| + sum_j |m_j - m_{j-1}|) of the exact convolution, and
     constant data gives exactly f_0*I1.
     """
@@ -197,15 +236,15 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
         raise DomainError("convolution times and values must be finite")
     if not np.all(np.diff(times) > 0.0):
         raise DomainError("convolution times must be strictly increasing")
-    lag = times[:, None] - times[None, :-1]    # t_k - t_j, < 0 where j > k
-    np.maximum(lag, 0.0, out=lag)
-    lags = np.unique(lag)
-    index = np.searchsorted(lags, lag)
-    del lag
-    I2 = _antiderivative_grid(alpha, rate, lags, 2).value[index]
+    lags = _distinct((lag for _, lag in _lag_blocks(times)), BLOCK_ROWS * times.size)
+    I2 = _antiderivative_grid(alpha, rate, lags, 2).value
     I1 = _antiderivative_grid(alpha, rate, times - times[0], 1).value
     slope = (values[:-1] - values[1:]) / (times[1:] - times[:-1])
-    return values[0] * I1 - I2 @ np.diff(slope, prepend=0.0)
+    jumps = np.diff(slope, prepend=0.0)
+    out = values[0] * I1
+    for rows, lag in _lag_blocks(times):
+        out[rows] -= I2[np.searchsorted(lags, lag)] @ jumps
+    return out
 
 
 def resolvent_mismatch(kp: KernelParams, pl: PowerLaw,

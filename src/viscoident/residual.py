@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,8 +87,14 @@ class WeightConfig:
     def __post_init__(self):
         for name in ("lambda0", "q0", "gamma"):
             _check_positive(name, getattr(self, name))
-        if not isinstance(self.m, numbers.Integral) or self.m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {self.m}")
+        _check_order(self.m)
+
+
+def _check_order(m) -> int:
+    """``m``, a moment order; DomainError unless it is an integer >= 2."""
+    if not isinstance(m, numbers.Integral) or m < 2:
+        raise DomainError(f"m must be an integer >= 2, got {m}")
+    return m
 
 
 class IdentificationResult:
@@ -178,7 +184,7 @@ def _m_scan(samples: KernelSamples, segments: Spline, cfg: WeightConfig, t_eval,
     the first order of least delta; DomainError if that delta is not finite.
     The orders are compared on the residuals over a power of two near the
     largest, exactly rescaled so that no square over- or underflows."""
-    orders = [replace(cfg, m=m).m for m in sorted(m_range)]  # validates each m
+    orders = [_check_order(m) for m in sorted(m_range)]
     if not orders:
         raise DomainError("m_range must be nonempty")
     model, resid, r_n = _stage1(samples, segments, cfg.lambda0, t_eval)

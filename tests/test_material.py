@@ -1,6 +1,7 @@
 """Power law, forward simulators, kernel extraction, resolvent consistency."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from viscoident import (
 )
 from viscoident.errors import ConvergenceError, DomainError, InsufficientDataError
 from viscoident.kernels import ABS_TOL, _antiderivative_grid
-from viscoident.material import differentiate
+from viscoident.material import BLOCK_ROWS, _distinct, differentiate
 from viscoident.spline import extract_creep_kernel_samples
 
 # 200-term summation at 50 decimal digits (mpmath), frozen:
@@ -384,6 +385,45 @@ class TestConvolution:
         t *= 4.0 / t[-1]
         values = np.random.default_rng(seed).normal(size=len(t))
         assert_matches_four_grid(alpha, rate, t, values)
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 1, 1000])
+    def test_row_blocks_match_four_grid_evaluation(self, n, uniform):
+        # one block short of full, one full, one plus a lone row (which
+        # joins the block before it), two plus a lone row, and 1000 points:
+        # 15 full blocks and a partial one
+        rng = np.random.default_rng(n)
+        if uniform:
+            t = np.linspace(0.0, 4.0, n)
+        else:
+            t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
+            t *= 4.0 / t[-1]
+        assert_matches_four_grid(0.5, 0.3, t, rng.normal(size=n))
+
+    @pytest.mark.parametrize("bound", [0, 10, 100, 10**6])
+    def test_distinct_lags_merged_in_steps(self, bound):
+        # however often the blocks' distinct values are merged on the way,
+        # the result is every distinct value once, sorted
+        rng = np.random.default_rng(bound)
+        blocks = [rng.integers(0, 300, size=(4, 10)) / 8.0 for _ in range(25)]
+        assert_bitwise(_distinct(iter(blocks), bound),
+                       np.unique(np.concatenate(blocks)))
+
+    def test_memory_grows_with_the_grid_not_its_square(self):
+        # 2048 points: the n x (n-1) lag, index and gathered I2 matrices
+        # alone would take 100 MB; the row blocks keep the peak near
+        # 3 * BLOCK_ROWS * n cells (3.1 MB) plus the distinct lags
+        t = np.linspace(0.0, 4.0, 2048)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            hereditary_convolution(0.5, 0.1, t, np.ones_like(t))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_lag_blocks_with_different_term_counts(self):
         # the largest lag (11) needs more series terms than the four-grid

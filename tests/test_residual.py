@@ -688,6 +688,14 @@ class TestWeightConfigValidation:
             a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
+    @pytest.mark.parametrize("m_range, bad", [((2, 1), 1), ((3, 2.5), 2.5)])
+    def test_bad_order_in_m_range(self, table1, table1_segments, m_range, bad):
+        # an order of the scan is refused as WeightConfig refuses its m
+        with pytest.raises(DomainError,
+                           match=rf"^m must be an integer >= 2, got {bad}$"):
+            identify(table1, table1_segments, None, WeightConfig(lambda0=0.9),
+                     sigma=1.0, pl0=PowerLaw(1.0, 1.0), m_range=m_range)
+
     def test_empty_m_range(self, table1, table1_segments):
         with pytest.raises(DomainError, match="^m_range must be nonempty$"):
             identify(table1, table1_segments, None, WeightConfig(lambda0=0.9),
