@@ -34,7 +34,9 @@ sample file of as many rows as the data on other times, strain levels given
 with an isochrone file) and of the three routes to kernel samples on two
 samples (a two-point simulate of either kind, a two-time isochrone file),
 of a power law that overflows or that underflows to 0 (the creep strains,
-the held relaxation stress, every isochrone similarity mean), and the
+the held relaxation stress, every isochrone similarity mean), of two
+creep simulations whose kernel series cancels (``--beta 1`` on the grid
+0:50:64, and ``--alpha 0.7 --beta 1`` on 0:28.7737:64), and the
 validate and ``table1 --input`` reports of the 16-row fixture. It also
 hashes the ``repr`` of each immutable record type (``KernelParams``,
 ``SeriesSum``, ``PowerLaw``, ``ResponseHistory``, ``KernelSamples``,
@@ -244,6 +246,12 @@ def failing_calls(vi, data: Path) -> dict:
         calls[f"overflow-{kind}"] = [
             "--mode", "simulate", "--kind", kind, "--beta", "1",
             "--grid", "0:400:64", "--output", str(data / "run")]
+    # kernel series that cancel: a long creep horizon, and the grid ending
+    # at (alpha 0.7, beta 1, t = 28.7737), where the sum is 0.34 % off
+    for label, args in (("0:50:64", []), ("0:28.7737:64", ["--alpha", "0.7"])):
+        calls[f"cancelled-creep-{label}"] = [
+            "--mode", "simulate", "--kind", "creep", "--beta", "1", *args,
+            "--grid", label, "--output", str(data / "run")]
     for kind in ("creep", "relaxation"):
         calls[f"two-point-{kind}"] = [
             "--mode", "simulate", "--kind", kind, "--grid", "0:1:2",

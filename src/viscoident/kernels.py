@@ -18,7 +18,10 @@ The kernel and both antiderivatives are one series with a shifted exponent,
 summed by one evaluator over every entry of a scalar or array at once; the
 public functions are a domain check plus one call of it. The truncation
 rule is fixed: the sum stops once no entry's last term exceeds ABS_TOL, and
-fails with ConvergenceError if that takes more than MAX_TERMS terms.
+fails with ConvergenceError if that takes more than MAX_TERMS terms. The
+cancellation rule is per entry (``SeriesSum.precision_loss``): the public
+functions return a cancelled entry flagged, and ``SeriesSum.checked``,
+which every internal caller applies, refuses it with ConvergenceError.
 
 Time is treated as dimensionless throughout; beta then carries units
 time**(alpha-1) only in the caller's bookkeeping.
@@ -40,9 +43,10 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-# Cancellation guard: precision_loss flags a sum this many times smaller
-# than the largest term.
-PRECISION_LOSS_RATIO = 1e12
+# Cancellation guard: precision_loss flags an entry this many times smaller
+# than its own largest term. An entry's relative error measured up to 1.3e-14
+# times that ratio (against a 120-digit series): within 1e-6 when accepted.
+PRECISION_LOSS_RATIO = 1e8
 # The fixed truncation rule: last term <= ABS_TOL within MAX_TERMS terms.
 MAX_TERMS = 500
 ABS_TOL = 1e-12
@@ -104,36 +108,36 @@ class KernelParams(_Record):
 class SeriesSum(_Record):
     """Truncated series value plus truncation diagnostics.
 
-    ``value`` has the shape of the argument (a float for a scalar);
-    ``terms``, ``last_term`` and ``max_term`` describe the whole call:
-    the terms summed, the largest magnitude of the last term over the
-    entries, and the largest term magnitude met.
+    ``value`` and ``max_term``, each entry's largest term magnitude, have
+    the shape of the argument (a float for a scalar); ``terms`` and
+    ``last_term`` describe the whole call: the terms summed and the largest
+    magnitude of the last term over the entries.
     """
 
     _fields = ("value", "terms", "last_term", "max_term")
 
     def __init__(self, value: float | np.ndarray, terms: int, last_term: float,
-                 max_term: float):
+                 max_term: float | np.ndarray):
         self._set(value, terms, last_term, max_term)
 
     @property
     def precision_loss(self):
-        """Per entry: ``max_term`` exceeds ``PRECISION_LOSS_RATIO`` times
-        the entry's magnitude, i.e. the alternating sum may have cancelled
-        catastrophically. ``max_term`` is the whole call's, so an entry much
-        smaller than another entry's peak term is flagged too."""
+        """Per entry: its largest term exceeds ``PRECISION_LOSS_RATIO`` times
+        its magnitude, i.e. the alternating sum may have cancelled
+        catastrophically. An entry at s = 0 has no terms and is never flagged."""
         return self.max_term > PRECISION_LOSS_RATIO * np.abs(self.value)
 
     def __float__(self) -> float:
         return float(self.value)
 
     def checked(self, s):
-        """``value``; ConvergenceError if an entry at s > 0 has ``precision_loss``."""
-        s = np.asarray(s)
-        lost = self.precision_loss & (s > 0.0)
+        """``value``; ConvergenceError naming the first entry of ``s`` with
+        ``precision_loss`` and that entry's largest term."""
+        lost = self.precision_loss
         if np.any(lost):
-            raise ConvergenceError(f"kernel series lost precision at s = {s[lost][0]}: "
-                                   f"largest term {self.max_term:.3e}", self.last_term)
+            at, peak = np.asarray(s)[lost][0], np.asarray(self.max_term)[lost][0]
+            raise ConvergenceError(f"kernel series lost precision at s = {at}: "
+                                   f"largest term {peak:.3e}", self.last_term)
         return self.value
 
 
@@ -153,11 +157,7 @@ def _check_positive(name: str, x, error=DomainError) -> None:
 
 
 def creep_kernel(params: KernelParams, s) -> SeriesSum:
-    """Creep kernel K(s) for s > 0, elementwise over a scalar or array.
-
-    Singular at s = 0; the series is truncated when no entry's last added
-    term is larger than ``ABS_TOL``.
-    """
+    """Creep kernel K(s) for s > 0, elementwise over scalar or array; singular at 0."""
     _check_domain(s, ~(np.asarray(s) > 0.0), "creep kernel is singular at 0; need s > 0")
     return _antiderivative_grid(params.alpha, params.beta, s, 0)
 
@@ -182,19 +182,18 @@ def _antiderivative_grid(alpha: float, rate: float, s, order: int) -> SeriesSum:
     """The kernel (order=0) or its first or second antiderivative (order=1, 2).
 
     Sums (-rate)**n * s**(c_n + order - 1) / Gamma(c_n + order) over n for
-    every entry of ``s`` at once. Truncation is driven by the largest term
-    over the entries: the sum stops once no entry's term exceeds ``ABS_TOL``,
-    so every entry is at least that converged. Entries at s = 0 are exactly
-    0. A term that overflows or is not finite, or a last term still above
-    ``ABS_TOL`` after ``MAX_TERMS`` terms, ends with ``ConvergenceError``.
+    every entry of ``s`` at once, keeping each entry's largest term.
+    Truncation is driven by the largest term over the entries: the sum stops
+    once no entry's term exceeds ``ABS_TOL``, so every entry is at least that
+    converged. Entries at s = 0 are exactly 0, with no terms. A term that
+    overflows or is not finite, or a last term still above ``ABS_TOL`` after
+    ``MAX_TERMS`` terms, ends with ``ConvergenceError``.
     """
     shift = float(order - 1)
     s = np.asarray(s, dtype=float)
-    total = np.zeros_like(s)
     pos = s > 0.0
     sp = s[pos]
-    acc = np.zeros_like(sp)
-    max_term = 0.0
+    acc, peak = np.zeros_like(sp), np.zeros_like(sp)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(MAX_TERMS):
             c = (1.0 - alpha) * (1 + n)
@@ -203,13 +202,16 @@ def _antiderivative_grid(alpha: float, rate: float, s, order: int) -> SeriesSum:
             except OverflowError:  # from math.gamma or the float power
                 term = math.inf
             acc += term
-            mag = float(np.max(np.abs(term), initial=0.0))
+            size = np.abs(term)
+            np.maximum(peak, size, out=peak)
+            mag = float(np.max(size, initial=0.0))
             if not math.isfinite(mag):
                 break
-            max_term = max(max_term, mag)
             if mag <= ABS_TOL:
-                total[pos] = acc
-                value = total if total.ndim else float(total)
+                value, max_term = np.zeros_like(s), np.zeros_like(s)
+                value[pos], max_term[pos] = acc, peak
+                if not s.ndim:
+                    value, max_term = float(value), float(max_term)
                 return SeriesSum(value, n + 1, mag, max_term)
     raise ConvergenceError(f"kernel series did not converge in {n + 1} terms",
                            last_term=mag)

@@ -13,19 +13,15 @@ kernel K and its resolvent R:
 Under a constant load either convolution collapses to the term-wise kernel
 integral, which gives closed-form creep and relaxation responses; those are
 the synthetic-data oracles. For piecewise-linear programs the convolutions
-are evaluated by product integration, integrated by parts onto the
-kernel's first and second antiderivatives: these are series-exact at every
-lag, so the weak singularity never meets a quadrature rule, and the data
-enters only through its first value and the jumps of its slope. The
-second antiderivative depends on the lag alone, so its series runs once
-per distinct lag of the grid; the cells are made, gathered from it and
-summed in blocks of output rows, one matrix-vector product per block, so
-the memory grows as the grid, not as its square.
-The power law and the simulators work on whole arrays, with no Python loop
-per sample. ``differentiate`` is the one derivative of a record; the
-routes from a record to kernel samples are in ``spline``. ``PowerLaw`` and
-``ResponseHistory`` are immutable records on ``kernels._Record``, plain
-classes so that importing the package generates no code.
+are evaluated by product integration (``hereditary_convolution``): the
+weak singularity never meets a quadrature rule, and the memory grows as
+the grid, not as its square. Every kernel series here is checked for
+cancellation (``SeriesSum.checked``). The power law and the simulators
+work on whole arrays, with no Python loop per sample. ``differentiate`` is
+the one derivative of a record; the routes from a record to kernel samples
+are in ``spline``. ``PowerLaw`` and ``ResponseHistory`` are immutable
+records on ``kernels._Record``, plain classes so that importing the
+package generates no code.
 """
 
 from __future__ import annotations
@@ -142,8 +138,7 @@ def simulate_relaxation(kp: KernelParams, pl: PowerLaw, eps: float,
     """
     _check_positive(_HELD_LOADS[KIND_RELAXATION], eps)
     grid = _check_grid(grid)
-    integral = _antiderivative_grid(
-        kp.alpha, kp.beta + kp.lam, grid, 1).checked(grid)
+    integral = _antiderivative_grid(kp.alpha, kp.beta + kp.lam, grid, 1).checked(grid)
     stress = phi0(pl, eps) * (1.0 - kp.lam * integral)
     return ResponseHistory(grid, stress, KIND_RELAXATION, eps)
 
@@ -226,7 +221,8 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
     O(BLOCK_ROWS*n + L) for L distinct lags, not O(n**2). Each series
     value is within ABS_TOL of the exact one, so the result is within
     ABS_TOL*(|f_0| + sum_j |m_j - m_{j-1}|) of the exact convolution, and
-    constant data gives exactly f_0*I1.
+    constant data gives exactly f_0*I1. A lag or time at which I1 or I2
+    has cancelled is a ConvergenceError naming it.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -237,8 +233,9 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
     if not np.all(np.diff(times) > 0.0):
         raise DomainError("convolution times must be strictly increasing")
     lags = _distinct((lag for _, lag in _lag_blocks(times)), BLOCK_ROWS * times.size)
-    I2 = _antiderivative_grid(alpha, rate, lags, 2).value
-    I1 = _antiderivative_grid(alpha, rate, times - times[0], 1).value
+    I2 = _antiderivative_grid(alpha, rate, lags, 2).checked(lags)
+    elapsed = times - times[0]
+    I1 = _antiderivative_grid(alpha, rate, elapsed, 1).checked(elapsed)
     slope = (values[:-1] - values[1:]) / (times[1:] - times[:-1])
     jumps = np.diff(slope, prepend=0.0)
     out = values[0] * I1
@@ -257,14 +254,15 @@ def resolvent_mismatch(kp: KernelParams, pl: PowerLaw,
     absolute stress reconstruction error. Zero heredity reproduces the
     stress exactly; otherwise the error is the piecewise-linear
     interpolation error of the intermediate response and shrinks under
-    grid refinement.
+    grid refinement. A record of another kind is a DomainError, and a
+    kernel series that cancels in either convolution a ConvergenceError.
     """
-    if len(sigma_history.times) < 8:
-        raise InsufficientDataError(
-            "resolvent check needs at least 8 grid points"
-        )
-    t = sigma_history.times
-    sigma = sigma_history.values
+    if sigma_history.kind != KIND_STRESS_PROGRAM:
+        raise DomainError(f"need a {KIND_STRESS_PROGRAM} history, "
+                          f"got kind {sigma_history.kind!r}")
+    t, sigma = sigma_history.times, sigma_history.values
+    if len(t) < 8:
+        raise InsufficientDataError("resolvent check needs at least 8 grid points")
     x = sigma + kp.lam * hereditary_convolution(kp.alpha, kp.beta, t, sigma)
     if np.any(x < 0.0):
         raise DomainError("forward response left the power-law domain (phi < 0)")

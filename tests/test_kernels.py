@@ -1,6 +1,7 @@
 """Kernel series against exact values and high-precision oracles."""
 
 import math
+import re
 from math import gamma
 
 import numpy as np
@@ -240,18 +241,30 @@ def test_precision_loss_flag():
     res = creep_kernel(kp, 20.0)
     assert res.max_term > 1e12 * abs(res.value)
     assert res.precision_loss
-    # per entry on an array: K(1e-60) ~ 9e5 is within the ratio of the
-    # call's peak term (~4e17), K(20) is not
+    # per entry on an array: each entry keeps its own peak term, so
+    # K(1e-60) ~ 9e5 is not flagged next to K(20)'s peak (~4e17)
     both = creep_kernel(kp, np.array([1e-60, 20.0]))
-    assert both.max_term == res.max_term
+    assert both.max_term.tolist() == [creep_kernel(kp, 1e-60).max_term, res.max_term]
     assert both.precision_loss.tolist() == [False, True]
     assert not creep_kernel(kp, 1e-60).precision_loss
-    # checked() refuses a lost entry at s > 0 and ignores the exact 0 at s = 0
-    with pytest.raises(ConvergenceError, match="lost precision at s = 20.0"):
+    # checked() refuses a lost entry, naming it and its own peak term; the
+    # exact 0 at s = 0 has no terms and is never flagged
+    with pytest.raises(ConvergenceError, match=re.escape(
+            f"lost precision at s = 20.0: largest term {res.max_term:.3e} ")):
         both.checked(np.array([1e-60, 20.0]))
     integral = creep_kernel_integral(kp, np.array([0.0, 1e-60]))
-    assert integral.precision_loss.tolist() == [True, False]
+    assert integral.precision_loss.tolist() == [False, False]
     assert integral.checked(np.array([0.0, 1e-60])) is integral.value
+
+
+def test_silent_cancellation_is_flagged():
+    # (alpha 0.7, beta 1, s = 28.7737): the sum is 0.34 % above the
+    # 120-digit value 0.772112 at a ratio of 3.0e11, which the per-entry
+    # threshold flags
+    res = creep_kernel_integral(KernelParams(alpha=0.7, beta=1.0, lam=1.0), 28.7737)
+    assert res.value == pytest.approx(0.772112 * 1.0034, rel=1e-4)
+    assert res.max_term == pytest.approx(3.0e11 * res.value, rel=0.05)
+    assert res.precision_loss
 
 
 @pytest.mark.parametrize("fn, s", [

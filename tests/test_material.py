@@ -27,8 +27,8 @@ from viscoident import (
     simulate_relaxation,
 )
 from viscoident.errors import ConvergenceError, DomainError, InsufficientDataError
-from viscoident.kernels import ABS_TOL, _antiderivative_grid
-from viscoident.material import BLOCK_ROWS, _distinct, differentiate
+from viscoident.kernels import ABS_TOL, PRECISION_LOSS_RATIO, _antiderivative_grid
+from viscoident.material import BLOCK_ROWS, _distinct, _lag_blocks, differentiate
 from viscoident.spline import extract_creep_kernel_samples
 
 # 200-term summation at 50 decimal digits (mpmath), frozen:
@@ -156,6 +156,13 @@ class TestSimulateCreep:
         with pytest.raises(ConvergenceError, match="lost precision"):
             simulate_relaxation(kp, PowerLaw(1.0, 1.0), 1.0,
                                 np.linspace(0.0, 10.0, 64))
+
+    def test_silent_cancellation_refused_at_its_entry(self):
+        # at t = 28.7737 the integral is 0.34 % off at a ratio of 3.0e11; the
+        # refusal names the first time whose own ratio is above the threshold
+        grid = np.linspace(0.0, 28.7737, 64)
+        with pytest.raises(ConvergenceError, match="lost precision at s = 21.0093682"):
+            simulate_creep(KernelParams(0.7, 1.0, 1.0), PowerLaw(1.0, 1.5), 1.0, grid)
 
 
 class TestSimulateRelaxation:
@@ -368,6 +375,11 @@ class TestConvolution:
                        [0.0, I1 + I2])
         assert I1 + I2 == 1.7405335216308497
 
+    def test_cancelled_series_refused(self):
+        # the lags reach 50, where the I1 series returns 2.24e5 for 0.921
+        with pytest.raises(ConvergenceError, match="lost precision at s = "):
+            hereditary_convolution(0.5, 1.0, np.linspace(0.0, 50.0, 64), np.ones(64))
+
     def test_stress_program_grid_matches_four_grid_evaluation(self):
         # the benchmark's 1024-point grid: about 3n distinct lags
         kp = KernelParams(0.5, 0.1, 0.2)
@@ -501,6 +513,34 @@ class TestResolventMismatch:
         kp = KernelParams(0.5, 0.1, 0.2)
         err = resolvent_mismatch(kp, PowerLaw(2.0, 1.5), self.constant_stress(128))
         assert err < 1e-3
+
+    @pytest.mark.parametrize("kind", [KIND_CREEP, KIND_RELAXATION])
+    def test_held_load_record_rejected(self, kind):
+        # a held-load record's values are strains or stresses under one load,
+        # not a stress program
+        kp, pl = KernelParams(0.5, 0.1, 0.2), PowerLaw(1.0, 1.0)
+        simulate = simulate_creep if kind == KIND_CREEP else simulate_relaxation
+        hist = simulate(kp, pl, 1.0, np.linspace(0.0, 4.0, 64))
+        with pytest.raises(DomainError) as err:
+            resolvent_mismatch(kp, pl, hist)
+        assert str(err.value) == f"need a stress-program history, got kind '{kind}'"
+
+    def test_cancelled_series_refused(self):
+        with pytest.raises(ConvergenceError, match="lost precision at s = "):
+            resolvent_mismatch(KernelParams(0.5, 1.0, 0.8), PowerLaw(1.0, 1.5),
+                               self.constant_stress(64, t_end=50.0))
+
+    def test_tiny_lag_next_to_long_lags_accepted(self):
+        # one 1e-7 step: the call's largest I2 term is more than
+        # PRECISION_LOSS_RATIO times I2 at the 1e-7 lag, so a call-wide
+        # check would refuse these correct values; each lag's own is far below
+        t = np.insert(np.linspace(0.0, 4.0, 256), 1, 1e-7)
+        lags = np.unique(np.concatenate([lag.ravel() for _, lag in _lag_blocks(t)]))[1:]
+        I2 = _antiderivative_grid(0.3, 0.8, lags, 2)
+        assert np.max(I2.max_term) > PRECISION_LOSS_RATIO * I2.value.min()
+        hist = ResponseHistory(t, np.ones_like(t), KIND_STRESS_PROGRAM, 1.0)
+        err = resolvent_mismatch(KernelParams(0.3, 0.3, 0.5), PowerLaw(1.0, 1.0), hist)
+        assert err == pytest.approx(6.685004043793796e-05, rel=1e-9)
 
     def test_coarse_grid_rejected(self):
         kp = KernelParams(0.5, 0.1, 0.2)

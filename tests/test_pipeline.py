@@ -838,6 +838,16 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err.startswith("error(ConvergenceError):")
 
+    def test_exit_code_series_cancelled(self, tmp_path, capsys):
+        # beta * t**(1 - alpha) reaches 7: the refusal names the first time
+        # whose own cancellation ratio is above the threshold
+        code = main(["--mode", "simulate", "--kind", "creep", "--beta", "1",
+                     "--grid", "0:50:64", "--output", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error(ConvergenceError): kernel series lost "
+                              "precision at s = 21.42857142857")
+
     def test_overflowing_weighted_residuals(self, tmp_path, capsys):
         # (w_j * r_j)**2 overflows at every order m, so no m is selected
         path = tmp_path / "huge.csv"
