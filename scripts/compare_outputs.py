@@ -40,7 +40,13 @@ creep simulations whose kernel series cancels (``--beta 1`` on the grid
 validate and ``table1 --input`` reports of the 16-row fixture. It also
 hashes the ``repr`` of each immutable record type (``KernelParams``,
 ``SeriesSum``, ``PowerLaw``, ``ResponseHistory``, ``KernelSamples``,
-``IsochroneDataset``, ``Spline``), built from fixed inputs. It prints the
+``IsochroneDataset``, ``Spline``), built from fixed inputs, and the class
+and message (or the returned repr) and the warnings of a fixed list of
+library calls that a domain rule refuses: a time axis with an inf, NaN or
+repeated time at each record, the simulators' grid and the convolution, a
+kernel shape outside the domain at ``KernelParams``, the convolution and
+the series, a spline evaluated past its range and a cancelled series; so
+a moved library message shows up like a moved CLI line. It prints the
 outputs whose digests differ and exits 1 if any do, 0 if none do.
 """
 
@@ -53,6 +59,7 @@ import io
 import itertools
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -343,6 +350,69 @@ def digest_mismatches(vi, wl, digests: dict) -> None:
     digests["reference/mismatch"] = sha256(repr(mismatch).encode())
 
 
+def library_refusals(vi) -> dict:
+    """Label -> (function, arguments) of library calls that a domain rule
+    refuses: a time axis holding inf, NaN or a repeated time at every entry
+    point (the two kinds of record history, the simulators' grid, kernel
+    samples, both axes of an isochrone matrix, the convolution), a kernel
+    shape outside the domain (``KernelParams``, the convolution, the series
+    itself), a spline evaluated past its range and a cancelled series."""
+    kp, pl = vi.KernelParams(0.5, 0.1, 0.8), vi.PowerLaw(1.0, 1.5)
+    values, grid = [0.0, 1.0, 2.0], np.linspace(0.0, 1.0, 4)
+    calls = {}
+    for bad in ("inf", "nan", "1.0"):  # 1.0 repeats the time before it
+        axis = [0.0, 1.0, float(bad)]
+        calls |= {
+            f"ResponseHistory-creep/{bad}": (
+                vi.ResponseHistory, axis, values, vi.KIND_CREEP, 1.0),
+            f"ResponseHistory-stress-program/{bad}": (
+                vi.ResponseHistory, axis, values, vi.KIND_STRESS_PROGRAM, None),
+            f"simulate_creep/{bad}": (vi.simulate_creep, kp, pl, 1.0, axis),
+            f"KernelSamples/{bad}": (vi.KernelSamples, axis, values),
+            f"IsochroneDataset-times/{bad}": (
+                vi.IsochroneDataset, [1.0], axis, np.ones((1, 3))),
+            f"IsochroneDataset-strain-levels/{bad}": (
+                vi.IsochroneDataset, [0.5, 1.0, float(bad)], [0.0, 1.0],
+                np.ones((3, 2))),
+            f"hereditary_convolution-times/{bad}": (
+                vi.hereditary_convolution, 0.5, 0.1, axis, np.ones(3)),
+        }
+    for alpha in ("0", "1", "1.5", "nan"):
+        calls |= {
+            f"KernelParams-alpha/{alpha}": (vi.KernelParams, float(alpha), 0.1, 0.8),
+            f"hereditary_convolution-alpha/{alpha}": (
+                vi.hereditary_convolution, float(alpha), 0.1, grid, np.ones(4)),
+            f"series-alpha/{alpha}": (
+                vi.kernels._antiderivative_grid, float(alpha), 0.1, grid, 1),
+        }
+    for rate in ("-5", "inf", "nan"):
+        calls |= {
+            f"KernelParams-beta/{rate}": (vi.KernelParams, 0.5, float(rate), 0.8),
+            f"hereditary_convolution-rate/{rate}": (
+                vi.hereditary_convolution, 0.5, float(rate), grid, np.ones(4)),
+        }
+    calls["eval_kernel_spline-range"] = (
+        vi.eval_kernel_spline, vi.fit_kernel_spline(vi.table1_fixture()),
+        np.linspace(0.0, 2000.0, 12))
+    calls["cancelled-series"] = (vi.simulate_creep, vi.KernelParams(0.5, 1.0, 0.8),
+                                 pl, 1.0, np.linspace(0.0, 50.0, 64))
+    return calls
+
+
+def digest_refusals(vi, digests: dict) -> None:
+    """Digest the class and message of each library refusal, or the repr of
+    what the call returned instead, and the warnings it raised."""
+    for label, (function, *args) in library_refusals(vi).items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outcome = f"returned {function(*args)!r}"
+            except Exception as exc:  # a raw ValueError is an outcome too
+                outcome = f"{type(exc).__name__}: {exc}"
+        outcome += "".join(f"\n{w.category.__name__}: {w.message}" for w in caught)
+        digests[f"refusal/{label}"] = sha256(outcome.encode())
+
+
 def digest_reprs(vi, digests: dict) -> None:
     """Digest the repr of each immutable record type, built from fixed inputs."""
     kp, pl = vi.KernelParams(0.5, 0.1, 0.8), vi.PowerLaw(1.0, 1.5)
@@ -436,6 +506,7 @@ def collect(vi, wl) -> dict:
                         digest_identify(wl, vi.cli, argv, label, digests)
     digest_mismatches(vi, wl, digests)
     digest_reprs(vi, digests)
+    digest_refusals(vi, digests)
     return digests
 
 

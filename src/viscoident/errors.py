@@ -39,13 +39,14 @@ class DomainError(ViscoidentError):
 
 
 class ConvergenceError(ViscoidentError):
-    """A series or iteration did not converge. Carries the last term magnitude."""
+    """A series or iteration did not converge; ends with the last term if given."""
 
     exit_code = 3
 
-    def __init__(self, message: str, last_term: float):
+    def __init__(self, message: str, last_term: float | None = None):
         self.last_term = last_term
-        super().__init__(f"{message} (last term magnitude {last_term:.3e})")
+        tail = "" if last_term is None else f" (last term magnitude {last_term:.3e})"
+        super().__init__(message + tail)
 
 
 class InsufficientDataError(ViscoidentError):

@@ -15,21 +15,21 @@ of K at hereditary intensity lambda. The term-wise antiderivative
 is finite at t = 0 and is what the similarity function is built from.
 
 The kernel and both antiderivatives are one series with a shifted exponent,
-summed by one evaluator over every entry of a scalar or array at once; the
-public functions are a domain check plus one call of it. The truncation
-rule is fixed: the sum stops once no entry's last term exceeds ABS_TOL, and
-fails with ConvergenceError if that takes more than MAX_TERMS terms. The
-cancellation rule is per entry (``SeriesSum.precision_loss``): the public
-functions return a cancelled entry flagged, and ``SeriesSum.checked``,
-which every internal caller applies, refuses it with ConvergenceError.
+summed by one evaluator over every entry of a scalar or array at once,
+which refuses (alpha, rate) outside the kernel's domain (``_check_shape``)
+for every caller; ``_check_times`` is the one rule for a time axis. The
+truncation rule is fixed: the sum stops once no entry's last term exceeds
+ABS_TOL, and fails with ConvergenceError if that takes more than MAX_TERMS
+terms. The cancellation rule is per entry (``SeriesSum.precision_loss``):
+the public functions return a cancelled entry flagged, and
+``SeriesSum.checked``, which every internal caller applies, refuses it
+with ConvergenceError.
 
 Time is treated as dimensionless throughout; beta then carries units
 time**(alpha-1) only in the caller's bookkeeping.
 
-The package's immutable records (here ``KernelParams`` and ``SeriesSum``)
-derive from ``_Record``, a plain class: a frozen dataclass generates and
-compiles its methods at every import of the package, which each CLI call
-pays for.
+The package's immutable records derive from ``_Record``, a plain class: a
+frozen dataclass compiles its methods at every import of the package.
 
 All functions here are pure; concurrent use is safe.
 """
@@ -97,10 +97,7 @@ class KernelParams(_Record):
     _fields = ("alpha", "beta", "lam")
 
     def __init__(self, alpha: float, beta: float, lam: float):
-        if not 0.0 < alpha < 1.0:  # NaN fails every comparison
-            raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-        if not 0.0 <= beta < math.inf:
-            raise DomainError(f"beta must be finite and >= 0, got {beta}")
+        _check_shape(alpha, beta)
         _check_positive("lambda", lam)
         self._set(alpha, beta, lam)
 
@@ -130,14 +127,17 @@ class SeriesSum(_Record):
     def __float__(self) -> float:
         return float(self.value)
 
+    @np.errstate(divide="ignore")  # an exact 0 value is inf times smaller
     def checked(self, s):
         """``value``; ConvergenceError naming the first entry of ``s`` with
-        ``precision_loss`` and that entry's largest term."""
+        ``precision_loss``, its largest term and their ratio to its value."""
         lost = self.precision_loss
         if np.any(lost):
-            at, peak = np.asarray(s)[lost][0], np.asarray(self.max_term)[lost][0]
+            at, peak, value = (np.asarray(x)[lost][0]
+                               for x in (s, self.max_term, self.value))
             raise ConvergenceError(f"kernel series lost precision at s = {at}: "
-                                   f"largest term {peak:.3e}", self.last_term)
+                                   f"largest term {peak:.3e} is "
+                                   f"{peak / abs(value):.3g} times its value")
         return self.value
 
 
@@ -154,6 +154,25 @@ def _check_positive(name: str, x, error=DomainError) -> None:
     x = np.asarray(x)
     _check_domain(x, ~((x > 0.0) & (x < math.inf)),
                   f"{name} must be finite and > 0", error)
+
+
+def _check_shape(alpha: float, rate: float) -> None:
+    """0 < alpha < 1 and a rate (the series' beta) finite and >= 0, else DomainError."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 <= rate < math.inf:
+        raise DomainError(f"beta must be finite and >= 0, got {rate}")
+
+
+def _check_times(name: str, t, least: int) -> np.ndarray:
+    """An axis as floats: 1-d, ``least`` entries or more, finite and strictly
+    increasing, or DomainError naming the first entry that breaks the rule."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or t.size < least:
+        raise DomainError(f"{name} must be 1-d of length >= {least}, got shape {t.shape}")
+    _check_domain(t, ~(np.isfinite(t) & (t > np.append(-math.inf, t[:-1]))),
+                  f"{name} must be finite and strictly increasing")
+    return t
 
 
 def creep_kernel(params: KernelParams, s) -> SeriesSum:
@@ -182,13 +201,15 @@ def _antiderivative_grid(alpha: float, rate: float, s, order: int) -> SeriesSum:
     """The kernel (order=0) or its first or second antiderivative (order=1, 2).
 
     Sums (-rate)**n * s**(c_n + order - 1) / Gamma(c_n + order) over n for
-    every entry of ``s`` at once, keeping each entry's largest term.
-    Truncation is driven by the largest term over the entries: the sum stops
-    once no entry's term exceeds ``ABS_TOL``, so every entry is at least that
-    converged. Entries at s = 0 are exactly 0, with no terms. A term that
-    overflows or is not finite, or a last term still above ``ABS_TOL`` after
-    ``MAX_TERMS`` terms, ends with ``ConvergenceError``.
+    every entry of ``s`` at once, keeping each entry's largest term; DomainError
+    if (alpha, rate) is outside the kernel's domain. Truncation is driven by
+    the largest term over the entries: the sum stops once no entry's term
+    exceeds ``ABS_TOL``, so every entry is at least that converged. Entries
+    at s = 0 are exactly 0, with no terms. A term that overflows or is not
+    finite, or a last term still above ``ABS_TOL`` after ``MAX_TERMS``
+    terms, ends with ``ConvergenceError``.
     """
+    _check_shape(alpha, rate)
     shift = float(order - 1)
     s = np.asarray(s, dtype=float)
     pos = s > 0.0

@@ -19,9 +19,7 @@ the grid, not as its square. Every kernel series here is checked for
 cancellation (``SeriesSum.checked``). The power law and the simulators
 work on whole arrays, with no Python loop per sample. ``differentiate`` is
 the one derivative of a record; the routes from a record to kernel samples
-are in ``spline``. ``PowerLaw`` and ``ResponseHistory`` are immutable
-records on ``kernels._Record``, plain classes so that importing the
-package generates no code.
+are in ``spline``. ``PowerLaw`` and ``ResponseHistory`` are ``_Record``s.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .kernels import (KernelParams, _antiderivative_grid, _check_domain,
-                      _check_positive, _Record)
+                      _check_positive, _check_times, _Record)
 
 KIND_CREEP = "creep-at-constant-stress"
 KIND_RELAXATION = "relaxation-at-constant-strain"
@@ -54,8 +52,9 @@ class PowerLaw(_Record):
 class ResponseHistory(_Record):
     """Sampled response: strain for creep runs, stress for relaxation runs.
 
-    ``kind`` is one of the module KIND_* constants; ``driver`` is the held load
-    of a creep or relaxation record, finite and > 0 (a stress program holds none).
+    ``times`` is a time grid from 0 and ``values`` are finite; ``kind`` is
+    one of the module KIND_* constants; ``driver`` is the held load of a
+    creep or relaxation record, finite and > 0 (a stress program holds none).
     """
 
     _fields = ("times", "values", "kind", "driver")
@@ -66,8 +65,7 @@ class ResponseHistory(_Record):
         v = np.asarray(values, dtype=float)
         if v.shape != t.shape:
             raise DomainError("times and values must be 1-d and equally long")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("history values must be finite")
+        _check_domain(v, ~np.isfinite(v), "history values must be finite")
         if kind in _HELD_LOADS:
             _check_positive(_HELD_LOADS[kind], driver)
         self._set(t, v, kind, driver)
@@ -105,13 +103,9 @@ def phi0_inverse(pl: PowerLaw, phi):
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise DomainError("time grid must be 1-d with at least two points")
+    grid = _check_times("time grid", grid, 2)
     if grid[0] != 0.0:
         raise DomainError(f"time grid must start at 0, got {grid[0]}")
-    if not np.all(np.diff(grid) > 0.0):
-        raise DomainError("time grid must be strictly increasing")
     return grid
 
 
@@ -221,17 +215,15 @@ def hereditary_convolution(alpha: float, rate: float, times: np.ndarray,
     O(BLOCK_ROWS*n + L) for L distinct lags, not O(n**2). Each series
     value is within ABS_TOL of the exact one, so the result is within
     ABS_TOL*(|f_0| + sum_j |m_j - m_{j-1}|) of the exact convolution, and
-    constant data gives exactly f_0*I1. A lag or time at which I1 or I2
-    has cancelled is a ConvergenceError naming it.
+    constant data gives exactly f_0*I1. Times off the one axis rule, values
+    not finite or (alpha, rate) outside the kernel's domain are a DomainError,
+    and a lag or time at which I1 or I2 has cancelled a ConvergenceError.
     """
-    times = np.asarray(times, dtype=float)
+    times = _check_times("convolution times", times, 1)
     values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.size == 0 or values.shape != times.shape:
-        raise DomainError("times and values must be 1-d, non-empty and equally long")
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-        raise DomainError("convolution times and values must be finite")
-    if not np.all(np.diff(times) > 0.0):
-        raise DomainError("convolution times must be strictly increasing")
+    if values.shape != times.shape:
+        raise DomainError("times and values must be 1-d and equally long")
+    _check_domain(values, ~np.isfinite(values), "convolution values must be finite")
     lags = _distinct((lag for _, lag in _lag_blocks(times)), BLOCK_ROWS * times.size)
     I2 = _antiderivative_grid(alpha, rate, lags, 2).checked(lags)
     elapsed = times - times[0]

@@ -26,9 +26,7 @@ the three routes that make them from a record (a creep history, a
 relaxation history, an isochrone matrix through its similarity means),
 each differentiating the record and dropping a t = 0 row in
 ``_kernel_samples``, and the spline fitted to them. ``KernelSamples``,
-``IsochroneDataset`` and ``Spline`` are immutable records on
-``kernels._Record``, plain classes so that importing the package generates
-no code.
+``IsochroneDataset`` and ``Spline`` are ``kernels._Record``s.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .errors import (
     SingularDenominatorError,
     ValidationError,
 )
-from .kernels import _check_positive, _Record
+from .kernels import _check_domain, _check_positive, _check_times, _Record
 from .material import (KIND_CREEP, KIND_RELAXATION, PowerLaw, ResponseHistory,
                        differentiate, phi0)
 
@@ -69,21 +67,16 @@ TABLE1_REL_TOL = 0.02
 
 
 class KernelSamples(_Record):
-    """Ordered kernel samples (t_j, K(t_j)), j = 1..n."""
+    """Kernel samples (t_j, K(t_j)), j = 1..n, finite, on a time axis."""
 
     _fields = ("times", "values")
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
-        t = np.asarray(times, dtype=float)
+        t = _check_times("sample times", times, 1)
         v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or v.ndim != 1 or len(t) != len(v):
+        if v.shape != t.shape:
             raise DomainError("times and values must be 1-d and equally long")
-        if len(t) < 1:
-            raise DomainError("need at least one sample")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
-            raise DomainError("sample times and values must be finite")
-        if len(t) > 1 and not np.all(np.diff(t) > 0.0):
-            raise DomainError("sample times must be strictly increasing")
+        _check_domain(v, ~np.isfinite(v), "sample values must be finite")
         self._set(t, v)
 
     def __len__(self) -> int:
@@ -96,23 +89,17 @@ class KernelSamples(_Record):
 
 
 class IsochroneDataset(_Record):
-    """Isochronous stresses 0 < phi_t(eps_i, t_j) < inf on a strain x time grid."""
+    """Isochronous stresses 0 < phi_t(eps_i, t_j) < inf, strain levels > 0, times >= 0."""
 
     _fields = ("strain_levels", "times", "phi_t")
 
     def __init__(self, strain_levels: np.ndarray, times: np.ndarray,
                  phi_t: np.ndarray):
-        eps = np.asarray(strain_levels, dtype=float)
-        t = np.asarray(times, dtype=float)
+        eps = _check_times("strain levels", strain_levels, 1)
+        _check_positive("strain levels", eps)
+        t = _check_times("isochrone times", times, 2)
+        _check_domain(t, t < 0.0, "isochrone times must be >= 0")
         m = np.asarray(phi_t, dtype=float)
-        if eps.ndim != 1 or len(eps) < 1:
-            raise DomainError("need at least one strain level")
-        if t.ndim != 1 or len(t) < 2:
-            raise DomainError("need at least two isochrone times")
-        if np.any(eps <= 0.0) or not np.all(np.diff(eps) > 0.0):
-            raise DomainError("strain levels must be positive and increasing")
-        if np.any(t < 0.0) or not np.all(np.diff(t) > 0.0):
-            raise DomainError("times must be nonnegative and increasing")
         if m.shape != (len(eps), len(t)):
             raise DomainError(
                 f"phi_t must have shape {(len(eps), len(t))}, got {m.shape}"
@@ -267,10 +254,9 @@ def eval_kernel_spline(spline: Spline, t):
     Segment j covers [t_j, t_{j+1}); the last knot belongs to the last one.
     """
     knots = spline.t
-    if not np.all((t >= knots[0]) & (t <= knots[-1])):  # NaN fails too
-        raise OutOfRangeError(
-            f"t = {t} outside the fitted range [{knots[0]}, {knots[-1]}]"
-        )
+    _check_domain(t, ~((t >= knots[0]) & (t <= knots[-1])),  # NaN fails too
+                  f"t must lie in the fitted range [{knots[0]}, {knots[-1]}]",
+                  OutOfRangeError)
     return spline[np.searchsorted(knots, t, side="right") - 1].value(t)
 
 

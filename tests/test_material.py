@@ -157,6 +157,17 @@ class TestSimulateCreep:
             simulate_relaxation(kp, PowerLaw(1.0, 1.0), 1.0,
                                 np.linspace(0.0, 10.0, 64))
 
+    def test_cancellation_message_states_the_entry_ratio(self):
+        # the refusal ends in the entry's own peak and ratio, not in the last
+        # term of the whole call's truncation at t = 50
+        kp = KernelParams(0.5, 1.0, 0.8)
+        with pytest.raises(ConvergenceError) as err:
+            simulate_creep(kp, PowerLaw(1.0, 1.5), 1.0, np.linspace(0.0, 50.0, 64))
+        assert str(err.value) == ("kernel series lost precision at s = "
+                                  "21.428571428571427: largest term 1.748e+08 "
+                                  "is 1.98e+08 times its value")
+        assert err.value.last_term is None
+
     def test_silent_cancellation_refused_at_its_entry(self):
         # at t = 28.7737 the integral is 0.34 % off at a ratio of 3.0e11; the
         # refusal names the first time whose own ratio is above the threshold
@@ -481,6 +492,23 @@ class TestConvolution:
     def test_arguments_checked(self, times, values):
         with pytest.raises(DomainError):
             hereditary_convolution(0.5, 0.1, times, values)
+
+    @pytest.mark.parametrize("alpha, rate, message", [
+        *((alpha, 0.1, f"alpha must lie in (0, 1), got {alpha}")
+          for alpha in (0.0, 1.0, 1.5, math.nan)),
+        *((0.5, rate, f"beta must be finite and >= 0, got {rate}")
+          for rate in (-5.0, math.inf, math.nan)),
+    ])
+    def test_kernel_shape_checked(self, alpha, rate, message):
+        # the series evaluator refuses a shape outside the kernel's domain,
+        # so the convolution does too, before any warning: alpha 1 returned
+        # 0.909, alpha 1.5 raised a raw ValueError and rate -5 gave 2.9e10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                hereditary_convolution(alpha, rate, np.linspace(0.0, 1.0, 4), np.ones(4))
+        assert type(err.value) is DomainError
+        assert str(err.value) == message
 
 
 class TestResolventMismatch:

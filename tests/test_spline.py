@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from viscoident import (
+    KIND_CREEP,
     KIND_RELAXATION,
+    KIND_STRESS_PROGRAM,
     IsochroneDataset,
     KernelSamples,
     PowerLaw,
@@ -71,26 +73,29 @@ class TestFixture:
 # TestSimilarityMeans' cases
 RECORD_REFUSALS = {
     "samples-2d": (KernelSamples, ([[0.0, 1.0]], [[1.0, 2.0]]),
-                   "times and values must be 1-d and equally long"),
+                   "sample times must be 1-d of length >= 1, got shape (1, 2)"),
     "samples-unequal": (KernelSamples, ([0.0, 1.0], [1.0]),
                         "times and values must be 1-d and equally long"),
-    "samples-empty": (KernelSamples, ([], []), "need at least one sample"),
+    "samples-empty": (KernelSamples, ([], []),
+                      "sample times must be 1-d of length >= 1, got shape (0,)"),
     "iso-no-level": (IsochroneDataset, ([], [0.0, 1.0], np.ones((0, 2))),
-                     "need at least one strain level"),
+                     "strain levels must be 1-d of length >= 1, got shape (0,)"),
     "iso-one-time": (IsochroneDataset, ([1.0], [0.0], [[1.0]]),
-                     "need at least two isochrone times"),
+                     "isochrone times must be 1-d of length >= 2, got shape (1,)"),
     "iso-levels-unordered": (IsochroneDataset, ([0.9, 0.5], [0.0, 1.0],
                                                 np.ones((2, 2))),
-                             "strain levels must be positive and increasing"),
+                             "strain levels must be finite and strictly "
+                             "increasing, got 0.5"),
     "iso-level-zero": (IsochroneDataset, ([0.0, 0.5], [0.0, 1.0],
                                           np.ones((2, 2))),
-                       "strain levels must be positive and increasing"),
+                       "strain levels must be finite and > 0, got 0.0"),
     "iso-times-unordered": (IsochroneDataset, ([1.0], [0.0, 2.0, 1.0],
                                                np.ones((1, 3))),
-                            "times must be nonnegative and increasing"),
+                            "isochrone times must be finite and strictly "
+                            "increasing, got 1.0"),
     "iso-time-negative": (IsochroneDataset, ([1.0], [-1.0, 1.0],
                                              np.ones((1, 2))),
-                          "times must be nonnegative and increasing"),
+                          "isochrone times must be >= 0, got -1.0"),
     "iso-shape": (IsochroneDataset, ([1.0, 2.0], [0.0, 1.0, 2.0],
                                      np.ones((3, 2))),
                   "phi_t must have shape (2, 3), got (3, 2)"),
@@ -100,8 +105,29 @@ RECORD_REFUSALS = {
     "history-grid-unordered": (ResponseHistory, ([0.0, 1.0, 1.0],
                                                  [1.0, 0.9, 0.8],
                                                  KIND_RELAXATION, 1.0),
-                               "time grid must be strictly increasing"),
+                               "time grid must be finite and strictly "
+                               "increasing, got 1.0"),
 }
+
+# an inf or NaN axis entry, named by the one axis rule whichever record
+# holds it (an inf time used to pass, then fail as a grid too fine to
+# differentiate): label -> (type, axis name, arguments around the entry)
+NON_FINITE_AXES = {
+    "history-creep": (ResponseHistory, "time grid", lambda bad: (
+        [0.0, 1.0, bad], [0.0, 1.0, 2.0], KIND_CREEP, 1.0)),
+    "history-stress-program": (ResponseHistory, "time grid", lambda bad: (
+        [0.0, bad, 2.0], [0.0, 1.0, 2.0], KIND_STRESS_PROGRAM, None)),
+    "samples": (KernelSamples, "sample times", lambda bad: ([1.0, bad], [1.0, 2.0])),
+    "iso-time": (IsochroneDataset, "isochrone times", lambda bad: (
+        [1.0], [0.0, 1.0, bad], np.ones((1, 3)))),
+    "iso-level": (IsochroneDataset, "strain levels", lambda bad: (
+        [0.5, bad], [0.0, 1.0], np.ones((2, 2)))),
+}
+RECORD_REFUSALS.update(
+    (f"{label}-{bad}", (record, args(bad),
+                        f"{axis} must be finite and strictly increasing, got {bad}"))
+    for label, (record, axis, args) in NON_FINITE_AXES.items()
+    for bad in (math.inf, math.nan))
 
 
 @pytest.mark.parametrize("case", RECORD_REFUSALS)
@@ -187,6 +213,13 @@ class TestEval:
             eval_kernel_spline(table1_segments, -0.5)
         with pytest.raises(OutOfRangeError):
             eval_kernel_spline(table1_segments, 1050.1)
+
+    def test_out_of_range_message_names_first_entry(self, table1_segments):
+        # one line naming the first time past the range, not the whole array
+        with pytest.raises(OutOfRangeError) as err:
+            eval_kernel_spline(table1_segments, np.linspace(0.0, 2000.0, 12))
+        assert str(err.value) == ("t must lie in the fitted range [0.0, 1050.0], "
+                                  "got 1090.909090909091")
 
     def test_nan_is_out_of_range(self, table1_segments):
         for t in (math.nan, np.array([5.0, math.nan])):
