@@ -27,8 +27,10 @@ constant stress on 256 points) and the ``hereditary_convolution`` of one
 non-uniform 256-point grid and of a uniform and a non-uniform 1000-point
 grid, which span several blocks of output rows. It also hashes the
 ``--help`` text, the exit code and the first line of stderr of each failing
-call of the CLI and ingestion tests (among them isochrone files whose
-strain levels or times are out of order), of the estimator's failure paths
+call of the CLI and ingestion tests (among them a file breaking each
+value rule of the records: a NaN sample value, sample times, strain levels
+or isochrone times out of order, a negative isochrone time, a nonpositive
+strain level or value), of the estimator's failure paths
 (a zero residual, a zero terminal residual, an order below 2, a model
 sample file of as many rows as the data on other times, strain levels given
 with an isochrone file) and of the three routes to kernel samples on two
@@ -45,8 +47,9 @@ and message (or the returned repr) and the warnings of a fixed list of
 library calls that a domain rule refuses: a time axis with an inf, NaN or
 repeated time at each record, the simulators' grid and the convolution, a
 kernel shape outside the domain at ``KernelParams``, the convolution and
-the series, a spline evaluated past its range and a cancelled series; so
-a moved library message shows up like a moved CLI line. It prints the
+the series, a beta + lambda that overflows at ``KernelParams``, a spline
+evaluated past its range and a cancelled series; so a moved library
+message shows up like a moved CLI line. It prints the
 outputs whose digests differ and exits 1 if any do, 0 if none do.
 """
 
@@ -90,6 +93,10 @@ MALFORMED = {
         "--isochrones", "eps,0,1,2,3\n0.9,4,3.6,3.4,3.2\n0.5,2,1.8,1.7,1.6\n"),
     "iso-times-out-of-order": (
         "--isochrones", "eps,0,2,1,3\n0.5,2,1.8,1.7,1.6\n0.9,4,3.6,3.4,3.2\n"),
+    "samples-nan-value": ("--input", "t,K\n0,10\n\n1,nan\n"),
+    "samples-times-out-of-order": ("--input", "t,K\n0,10\n2,8\n\n1,7\n"),
+    "iso-negative-time": ("--isochrones", "\neps,-1,1\n0.5,2,1.8\n"),
+    "iso-nonpositive-level": ("--isochrones", "eps,0,1\n\n0,2,1.8\n1.0,4,3.6\n"),
 }
 # rewritings of an input file that ingestion must accept as the same data
 REWRITES = {
@@ -356,7 +363,8 @@ def library_refusals(vi) -> dict:
     point (the two kinds of record history, the simulators' grid, kernel
     samples, both axes of an isochrone matrix, the convolution), a kernel
     shape outside the domain (``KernelParams``, the convolution, the series
-    itself), a spline evaluated past its range and a cancelled series."""
+    itself), a beta + lambda that overflows, a spline evaluated past its
+    range and a cancelled series."""
     kp, pl = vi.KernelParams(0.5, 0.1, 0.8), vi.PowerLaw(1.0, 1.5)
     values, grid = [0.0, 1.0, 2.0], np.linspace(0.0, 1.0, 4)
     calls = {}
@@ -391,6 +399,7 @@ def library_refusals(vi) -> dict:
             f"hereditary_convolution-rate/{rate}": (
                 vi.hereditary_convolution, 0.5, float(rate), grid, np.ones(4)),
         }
+    calls["KernelParams-beta-plus-lambda"] = (vi.KernelParams, 0.5, 1e308, 1e308)
     calls["eval_kernel_spline-range"] = (
         vi.eval_kernel_spline, vi.fit_kernel_spline(vi.table1_fixture()),
         np.linspace(0.0, 2000.0, 12))

@@ -11,7 +11,10 @@ from __future__ import annotations
 class ViscoidentError(Exception):
     """Base class for all library errors. ``row`` is the 1-based physical
     line of an input file the error concerns, or None; when given, the
-    message starts with ``row N: ``."""
+    message starts with ``row N: ``. ``index`` is the position of the
+    argument entry a domain rule refused, or None."""
+
+    index: tuple | None = None
 
     def __init__(self, message: str, row: int | None = None):
         self.row = row

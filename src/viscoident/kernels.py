@@ -99,6 +99,8 @@ class KernelParams(_Record):
     def __init__(self, alpha: float, beta: float, lam: float):
         _check_shape(alpha, beta)
         _check_positive("lambda", lam)
+        if not math.isfinite(beta + lam):  # the relaxation series' rate
+            raise DomainError(f"beta + lambda must be finite, got {beta + lam}")
         self._set(alpha, beta, lam)
 
 
@@ -143,9 +145,12 @@ class SeriesSum(_Record):
 
 def _check_domain(x, bad, message: str, error=DomainError) -> None:
     """Raise ``error`` naming the first entry of ``x`` where the boolean
-    array ``bad`` holds."""
+    array ``bad`` holds, with that entry's position as its ``index``."""
     if bad.any():
-        raise error(f"{message}, got {np.asarray(x)[bad].flat[0]}")
+        index = tuple(np.argwhere(bad)[0].tolist())
+        exc = error(f"{message}, got {np.asarray(x)[index]}")
+        exc.index = index
+        raise exc
 
 
 def _check_positive(name: str, x, error=DomainError) -> None:

@@ -253,26 +253,15 @@ def _line_numbers(lines: list[str]) -> list[int]:
     return [n for n, raw in enumerate(lines, start=1) if raw.strip()]
 
 
-def _refuse_row(lines: list[str], first: int, bad, message) -> None:
-    """Raise a ValidationError at the physical line of the first row the
-    boolean mask ``bad`` flags, if any; ``bad[0]`` is non-blank line ``first``
-    (0-based, a header counts). ``message`` is text or a function of i."""
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValidationError(message(i) if callable(message) else message,
-                              row=_line_numbers(lines)[first + i])
-
-
 def _row_error(lines: list[str], header: bool,
                width: int | None = None) -> ParseError:
     """The error of the first malformed data row; rows count physical lines.
     An isochrone body passes its header's ``width``; a sample body's first
     data row sets the width, which must be 2 (t, K) or 3 (j, t, K)."""
-    ragged = width is not None
     for rownum in _line_numbers(lines)[header:]:
         raw = lines[rownum - 1].strip()
         fields = raw.count(",") + 1
-        if ragged and fields != width:
+        if width is not None and fields != width:
             return ParseError(f"ragged row: {fields} fields where {width} expected",
                               row=rownum)
         if _parse_table([raw]) is None:
@@ -280,11 +269,21 @@ def _row_error(lines: list[str], header: bool,
         if width is None and fields not in (2, 3):
             return ParseError(f"expected two columns (t, K), got {fields}",
                               row=rownum)
-        width = width or fields
-        if fields != width:
-            return ParseError(f"{fields} fields where the first data row has {width}",
-                              row=rownum)
+        width = fields
     raise AssertionError("no malformed row in a table that failed to parse")
+
+
+def _build(lines: list[str], record, args: tuple, line_of):
+    """``record(*args)``; its refusal of an entry becomes a ValidationError
+    with the same message at non-blank line ``line_of(refusal)`` (0-based, a
+    header counts). A refusal that names no entry passes through."""
+    try:
+        return record(*args)
+    except DomainError as exc:
+        if exc.index is None:
+            raise
+        row = _line_numbers(lines)[line_of(exc)]
+        raise ValidationError(str(exc), row=row) from None
 
 
 def ingest_kernel_samples(path: str | Path) -> tuple[KernelSamples, str]:
@@ -293,7 +292,7 @@ def ingest_kernel_samples(path: str | Path) -> tuple[KernelSamples, str]:
 
     Blank lines are skipped, a first line that is not numeric is a header
     and an index column (j, t, K) is dropped; every data row must have the
-    width of the first one.
+    width of the first one. The values must pass ``KernelSamples``' rules.
     """
     path = Path(path)
     lines, digest = _read_input(path)
@@ -306,18 +305,14 @@ def ingest_kernel_samples(path: str | Path) -> tuple[KernelSamples, str]:
     table = _parse_table(rows)
     if table is None or table.shape[1] not in (2, 3):  # 3: (j, t, K)
         raise _row_error(lines, header)
-    arr_t, arr_v = table[:, -2].copy(), table[:, -1].copy()
-    _refuse_row(lines, header, ~(np.isfinite(arr_t) & np.isfinite(arr_v)),
-                "non-finite sample")
-    _refuse_row(lines, header + 1, np.diff(arr_t) <= 0.0,
-                lambda i: f"non-increasing times: t[{i + 1}] = {arr_t[i]} "
-                          f"then {arr_t[i + 1]}")
-    return KernelSamples(arr_t, arr_v), digest
+    return _build(lines, KernelSamples, (table[:, -2].copy(), table[:, -1].copy()),
+                  lambda exc: header + exc.index[0]), digest
 
 
 def ingest_isochrones(path: str | Path) -> tuple[IsochroneDataset, str]:
     """Read an isochrone matrix: header row of times, strain-level rows;
-    return (data, digest of the file's bytes)."""
+    return (data, digest of the file's bytes). The values must pass
+    ``IsochroneDataset``' rules; a refused time names the header line."""
     path = Path(path)
     lines, digest = _read_input(path)
     rows = list(filter(str.strip, lines))
@@ -328,22 +323,12 @@ def ingest_isochrones(path: str | Path) -> tuple[IsochroneDataset, str]:
     if head is None:
         raise ParseError("time header holds a non-numeric field",
                          row=_line_numbers(lines)[0])
-    _refuse_row(lines, 0, ~np.all(np.isfinite(head), axis=1),
-                "non-finite isochrone time")
     table = _parse_table(rows[1:])
     if table is None or table.shape[1] != head.shape[1]:
         raise _row_error(lines, header=True, width=head.shape[1])
-    finite = np.isfinite(table)
-    _refuse_row(lines, 1, ~np.all(finite, axis=1), lambda i: "non-finite " + (
-        "isochrone value" if finite[i, 0] else "strain level"))
-    eps, times, m = table[:, 0].copy(), head[0, 1:], table[:, 1:].copy()
-    _refuse_row(lines, 1, np.any(m <= 0.0, axis=1), "nonpositive isochrone value")
-    if len(times) > 1:  # fewer times is the dataset's own refusal
-        _refuse_row(lines, 1, np.diff(eps, prepend=0.0) <= 0.0,
-                    "strain levels must be positive and increasing")
-        _refuse_row(lines, 0, [times[0] < 0.0 or np.any(np.diff(times) <= 0.0)],
-                    "times must be nonnegative and increasing")
-    return IsochroneDataset(eps, times, m), digest
+    args = table[:, 0].copy(), head[0, 1:], table[:, 1:].copy()
+    return _build(lines, IsochroneDataset, args, lambda exc: (
+        0 if str(exc).startswith("isochrone times") else 1 + exc.index[0])), digest
 
 
 def write_samples_csv(path: str | Path, times, values,

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from viscoident import (
+    IsochroneDataset,
     KernelParams,
     PowerLaw,
     Spline,
@@ -233,6 +234,26 @@ class TestParamValidation:
         for bad in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(DomainError, match="^lambda must"):
                 KernelParams(alpha=0.5, beta=0.1, lam=bad)
+
+    def test_rate_sum_domain(self):
+        # each finite, but the relaxation series' rate beta + lambda is not
+        with pytest.raises(DomainError) as err:
+            KernelParams(alpha=0.5, beta=1e308, lam=1e308)
+        assert str(err.value) == "beta + lambda must be finite, got inf"
+
+
+@pytest.mark.parametrize("call, index", [
+    (lambda: creep_kernel(KernelParams(0.5, 0.1, 1.0), 0.0), ()),
+    (lambda: creep_kernel(KernelParams(0.5, 0.1, 1.0), [1.0, 2.0, -1.0]), (2,)),
+    (lambda: IsochroneDataset([0.5, 1.0], [0.0, 1.0], [[1.0, 2.0], [3.0, 0.0]]),
+     (1, 1)),
+    (lambda: IsochroneDataset([0.5], [0.0], [[1.0]]), None),  # axis too short
+], ids=["scalar", "axis", "matrix", "no-entry"])
+def test_refusal_records_entry_position(call, index):
+    # the position of the entry a domain rule names, in its argument
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.index == index
 
 
 def test_precision_loss_flag():

@@ -72,7 +72,7 @@ INGEST_CASES = {
     "iso-non-numeric-last": ("isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4,abc\n",
                              ParseError, 3, "non-numeric field in '1.0,4,abc'"),
     "samples-trailing-comma": ("samples", "t,K\n0,10\n1,8,\n", ParseError, 3,
-                               "non-numeric field in '1,8,'"),
+                               "ragged row: 3 fields where 2 expected"),
     "iso-trailing-comma": ("isochrones", "eps,0,1\n0.5,2,1.8,\n", ParseError,
                            2, "ragged row: 4 fields where 3 expected"),
     "samples-crlf": ("samples", "t,K\r\n0,10\r\n1,8\r\n", None, None, None),
@@ -80,9 +80,9 @@ INGEST_CASES = {
     "iso-ragged": ("isochrones", "eps,0,1\n0.5,2,1.8\n1.0,4\n", ParseError, 3,
                    "ragged row: 2 fields where 3 expected"),
     "samples-mixed-width": ("samples", "0,10\n1,1,8\n", ParseError, 2,
-                            "3 fields where the first data row has 2"),
+                            "ragged row: 3 fields where 2 expected"),
     "samples-mixed-width-index": ("samples", "j,t,K\n1,0,10\n1,8\n", ParseError,
-                                  3, "2 fields where the first data row has 3"),
+                                  3, "ragged row: 2 fields where 3 expected"),
     "samples-blank-lines-index": ("samples", BLANK_LINES_TEXT, ParseError, 5,
                                   "non-numeric field in '1.0,4,x'"),
     "iso-blank-lines-non-numeric": ("isochrones", BLANK_LINES_TEXT, ParseError,
@@ -92,19 +92,34 @@ INGEST_CASES = {
                                "time header holds a non-numeric field"),
     "iso-nonpositive-after-blank": ("isochrones", "eps,0,1\n\n0.5,2,0\n",
                                     ValidationError, 3,
-                                    "nonpositive isochrone value"),
+                                    "isochrone values must be finite and > 0, got 0.0"),
     "iso-non-finite-value": ("isochrones", "eps,0,1\n0.5,2,1.8\n\n1.0,4,nan\n",
-                             ValidationError, 4, "non-finite isochrone value"),
-    "iso-non-finite-level": ("isochrones", "eps,0,1\n0.5,2,1.8\nnan,4,3.6\n",
-                             ValidationError, 3, "non-finite strain level"),
-    "iso-non-finite-time": ("isochrones", "\neps,0,inf\n0.5,2,1.8\n",
-                            ValidationError, 2, "non-finite isochrone time"),
+                             ValidationError, 4,
+                             "isochrone values must be finite and > 0, got nan"),
+    "iso-non-finite-level": (
+        "isochrones", "eps,0,1\n0.5,2,1.8\nnan,4,3.6\n", ValidationError, 3,
+        "strain levels must be finite and strictly increasing, got nan"),
+    "iso-non-finite-time": (
+        "isochrones", "\neps,0,inf\n0.5,2,1.8\n", ValidationError, 2,
+        "isochrone times must be finite and strictly increasing, got inf"),
     "iso-strain-levels-out-of-order": (
         "isochrones", "eps,0,1,2,3\n0.9,4,3.6,3.4,3.2\n0.5,2,1.8,1.7,1.6\n",
-        ValidationError, 3, "strain levels must be positive and increasing"),
+        ValidationError, 3,
+        "strain levels must be finite and strictly increasing, got 0.5"),
     "iso-times-out-of-order": (
         "isochrones", "eps,0,2,1,3\n0.5,2,1.8,1.7,1.6\n0.9,4,3.6,3.4,3.2\n",
-        ValidationError, 1, "times must be nonnegative and increasing"),
+        ValidationError, 1,
+        "isochrone times must be finite and strictly increasing, got 1.0"),
+    "samples-nan-value": ("samples", "t,K\n0,10\n\n1,nan\n", ValidationError,
+                          4, "sample values must be finite, got nan"),
+    "samples-times-out-of-order": (
+        "samples", "t,K\n0,10\n2,8\n\n1,7\n", ValidationError, 5,
+        "sample times must be finite and strictly increasing, got 1.0"),
+    "iso-negative-time": ("isochrones", "\neps,-1,1\n0.5,2,1.8\n",
+                          ValidationError, 2, "isochrone times must be >= 0, got -1.0"),
+    "iso-nonpositive-level": ("isochrones", "eps,0,1\n\n0,2,1.8\n1.0,4,3.6\n",
+                              ValidationError, 3,
+                              "strain levels must be finite and > 0, got 0.0"),
 }
 
 # data rows that both ingesters reject, as (sample row, isochrone row)
@@ -221,6 +236,30 @@ def test_ingestion_error_paths(tmp_path, case):
     assert str(err.value) == prefix + message.format(path=path)
 
 
+@pytest.mark.parametrize("case", [name for name, (_, _, error, _, _)
+                                  in INGEST_CASES.items()
+                                  if error is ValidationError])
+def test_value_refusal_quotes_the_record(tmp_path, case):
+    # a file's value refusal is the record's own refusal of the arrays the
+    # file holds, prefixed with the line: the readers state no rule of theirs
+    ingester, text, _, row, _ = INGEST_CASES[case]
+    head, *rows = filter(str.strip, text.splitlines())
+    table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    with pytest.raises(DomainError) as own:
+        if ingester == "samples":
+            v.KernelSamples(table[:, -2], table[:, -1])
+        else:
+            times = np.array(head.split(",")[1:], dtype=float)
+            v.IsochroneDataset(table[:, 0], times, table[:, 1:])
+    ingest = {"samples": ingest_kernel_samples,
+              "isochrones": ingest_isochrones}[ingester]
+    path = tmp_path / "input.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(ValidationError) as err:
+        ingest(path)
+    assert str(err.value) == f"row {row}: {own.value}"
+
+
 @pytest.mark.parametrize("ingester", ["samples", "isochrones"])
 @pytest.mark.parametrize("case", REJECTED_ROWS)
 def test_rejected_rows(tmp_path, ingester, case):
@@ -286,7 +325,7 @@ class TestIngestSamples:
         path.write_text("t,K\n1,10\n1,9\n")
         with pytest.raises(ValidationError) as err:
             ingest_kernel_samples(path)
-        assert "non-increasing" in str(err.value)
+        assert "strictly increasing" in str(err.value)
         assert err.value.row == 3  # rows count physical lines
 
     def test_non_numeric_mid_file(self, tmp_path):
@@ -837,6 +876,18 @@ class TestCli:
                      "--grid", "0:400:64", "--output", str(tmp_path / "run")])
         assert code == 3
         assert capsys.readouterr().err.startswith("error(ConvergenceError):")
+
+    @pytest.mark.parametrize("kind", ["creep", "relaxation"])
+    def test_rate_sum_overflow_refused(self, tmp_path, capsys, kind):
+        # beta and lambda are finite, the relaxation series' rate is not: one
+        # refusal naming the sum for both kinds, before any file is written
+        code = main(["--mode", "simulate", "--kind", kind, "--beta", "1e308",
+                     "--lam", "1e308", "--grid", "0:1:8",
+                     "--output", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error(DomainError): beta + lambda must be finite, got inf\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_exit_code_series_cancelled(self, tmp_path, capsys):
         # beta * t**(1 - alpha) reaches 7: the refusal names the first time
